@@ -9,6 +9,7 @@
 
 #include "cluster/engine.hpp"
 #include "cluster/wire.hpp"
+#include "mapreduce/fold_table.hpp"
 #include "mapreduce/job.hpp"  // Emitter
 #include "mp/buffer.hpp"
 #include "util/error.hpp"
@@ -279,8 +280,8 @@ class DistJob {
   }
 
   /// One map task: map the record range, hash-partition the emitted
-  /// pairs, optionally combine, and encode the `reducers` buckets in
-  /// partition order.
+  /// pairs (folding them per key when a combiner is set), and encode the
+  /// `reducers` buckets in partition order.
   std::vector<std::byte> map_task(
       TaskContext& ctx, mp::ByteView payload,
       const std::vector<std::pair<K1, V1>>& inputs, int reducers) const {
@@ -288,23 +289,30 @@ class DistJob {
     const std::int64_t begin = reader.i64();
     const std::int64_t end = reader.i64();
 
+    using Table = mapreduce::FoldTable<K2, V2>;
     std::vector<Bucket> buckets(static_cast<std::size_t>(reducers));
+    std::vector<Table> tables(
+        combine_fn_ != nullptr ? static_cast<std::size_t>(reducers) : 0,
+        Table(combine_fn_));
+    mapreduce::Emitter<K2, V2> emitter;
     for (std::int64_t i = begin; i < end; ++i) {
       ctx.charge(map_cost_ops_);
       ctx.progress();
       const auto& [key, value] = inputs[static_cast<std::size_t>(i)];
-      mapreduce::Emitter<K2, V2> emitter;
+      emitter.clear();
       map_fn_(key, value, emitter);
       for (auto& [k2, v2] : emitter.pairs()) {
         const std::size_t partition =
             std::hash<K2>{}(k2) % static_cast<std::size_t>(reducers);
-        buckets[partition].emplace_back(std::move(k2), std::move(v2));
+        if (tables.empty()) {
+          buckets[partition].emplace_back(std::move(k2), std::move(v2));
+        } else {
+          tables[partition].add(std::move(k2), std::move(v2));
+        }
       }
     }
-    if (combine_fn_ != nullptr) {
-      for (Bucket& bucket : buckets) {
-        bucket = combine_bucket(bucket);
-      }
+    for (std::size_t p = 0; p < tables.size(); ++p) {
+      tables[p].drain_sorted(buckets[p]);
     }
     ctx.progress();
 
@@ -313,19 +321,6 @@ class DistJob {
       WireCodec<Bucket>::write(writer, bucket);
     }
     return writer.take();
-  }
-
-  Bucket combine_bucket(const Bucket& bucket) const {
-    std::map<K2, std::vector<V2>> grouped;
-    for (const auto& [key, value] : bucket) {
-      grouped[key].push_back(value);
-    }
-    Bucket combined;
-    combined.reserve(grouped.size());
-    for (const auto& [key, values] : grouped) {
-      combined.emplace_back(key, combine_fn_(key, values));
-    }
-    return combined;
   }
 
   std::vector<Bucket> decode_map_result(const mp::Buffer& bytes,

@@ -30,8 +30,11 @@ class Writer {
     if (size == 0) {
       return;  // empty blobs and strings may pass data() == nullptr
     }
-    const auto* bytes = static_cast<const std::byte*>(data);
-    bytes_.insert(bytes_.end(), bytes, bytes + size);
+    // resize + memcpy rather than a range insert: GCC 12's
+    // -Warray-bounds misreads the inlined insert at -O3.
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + size);
+    std::memcpy(bytes_.data() + at, data, size);
   }
 
   template <class T>
@@ -58,6 +61,13 @@ class Writer {
   }
 
   std::size_t size() const { return bytes_.size(); }
+
+  /// The bytes written so far (valid until the next write or take()).
+  std::span<const std::byte> view() const { return bytes_; }
+
+  /// Forget the bytes but keep the capacity, for a Writer reused across
+  /// records.
+  void clear() { bytes_.clear(); }
 
   std::vector<std::byte> take() { return std::move(bytes_); }
 

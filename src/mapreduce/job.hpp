@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "mapreduce/fold_table.hpp"
 #include "oocore/io.hpp"
 #include "oocore/merge.hpp"
 #include "oocore/scratch.hpp"
@@ -97,7 +98,9 @@ class Job {
   }
 
   /// Optional combiner: pre-reduces each map worker's local output before
-  /// the shuffle (must be associative/commutative in the usual way).
+  /// the shuffle. It runs as a left fold in emission order — each key's
+  /// entry becomes combine(key, {entry, next value}) as values arrive —
+  /// so it must be associative, and combine(key, {v}) must equal v.
   Job& combine(CombineFn fn) {
     combine_fn_ = std::move(fn);
     return *this;
@@ -124,10 +127,13 @@ class Job {
   }
 
   /// Cap the shuffle's in-memory working set: once the map phase's
-  /// buffered (key, value) pairs exceed `bytes` across all workers (each
-  /// worker tracks budget/threads of it), every worker spills its sorted
+  /// buffered output exceeds `bytes` across all workers (each worker
+  /// tracks budget/threads of it), every worker spills its sorted
   /// buckets to scratch run files and the reduce phase streams a k-way
-  /// merge over runs + leftovers instead of flattening in memory. Output
+  /// merge over runs + leftovers instead of flattening in memory. Without
+  /// a combiner the budget counts every emitted (key, value) pair; with
+  /// one it counts the distinct keys of the fold tables, each entry's
+  /// payload plus FoldTable::kEntryOverheadBytes of node overhead. Output
   /// is byte-identical to the unbudgeted path. Not calling this (the
   /// default) keeps the shuffle fully in memory; a zero or negative
   /// budget is rejected loudly rather than silently meaning "unlimited" —
@@ -219,11 +225,24 @@ class Job {
     // there is no shared mutable state across threads (CP.3). Records are
     // dealt by work stealing: expensive records (long documents, heavy
     // parses) stop being a tail-latency problem because idle workers
-    // migrate the remaining chunks.
+    // migrate the remaining chunks. With a combiner, emissions fold into
+    // per-partition tables instead and reach the buckets key-sorted, one
+    // entry per key, when the tables drain (spill, end of map, salvage).
     using Bucket = std::vector<std::pair<K2, V2>>;
+    using Table = FoldTable<K2, V2>;
     std::vector<std::vector<Bucket>> worker_buckets(
         static_cast<std::size_t>(threads),
         std::vector<Bucket>(static_cast<std::size_t>(reducers)));
+    const bool folding = combine_fn_ != nullptr;
+    std::vector<std::vector<Table>> worker_tables(
+        static_cast<std::size_t>(threads),
+        std::vector<Table>(folding ? static_cast<std::size_t>(reducers) : 0,
+                           Table(combine_fn_)));
+    const auto drain_tables = [&](std::size_t worker) {
+      for (std::size_t p = 0; p < worker_tables[worker].size(); ++p) {
+        worker_tables[worker][p].drain_sorted(worker_buckets[worker][p]);
+      }
+    };
 
     // Both phases (and every job this process runs after this one) share
     // the persistent host worker pool: warming it here moves one-time
@@ -270,17 +289,17 @@ class Job {
         const auto tid = static_cast<std::size_t>(tc.thread_num());
         auto& buckets = worker_buckets[tid];
         Emitter<K2, V2> emitter;  // reused: clear() keeps the capacity
-        // When a budget is armed the first-record reserve() is skipped:
-        // its estimate assumes the whole input's emissions stay resident,
-        // which is exactly what the budget forbids.
-        bool reserved = spilling;
+        // When a budget is armed or the tables fold, the first-record
+        // reserve() is skipped: its estimate assumes the whole input's
+        // emissions stay resident as raw pairs.
+        bool reserved = spilling || folding;
         std::int64_t buffered_bytes = 0;
         std::uint64_t spill_seq = 0;
         const std::uint64_t worker_salt = static_cast<std::uint64_t>(tid)
                                           << 32;
 
-        // Spill every non-empty bucket as one sorted (combined, if a
-        // combiner is set) run file per partition, then reset the byte
+        // Spill every non-empty bucket (or drained fold table) as one
+        // sorted run file per partition, then reset the byte
         // account. Each run is individually key-stable-sorted, and runs
         // are replayed in (worker, spill order, leftover-last) order at
         // reduce time — concatenating them reproduces this worker's
@@ -291,14 +310,13 @@ class Job {
           std::int64_t batch_runs = 0;
           std::int64_t batch_records = 0;
           std::int64_t batch_bytes = 0;
+          drain_tables(tid);
           for (std::size_t p = 0; p < buckets.size(); ++p) {
             auto& bucket = buckets[p];
             if (bucket.empty()) {
               continue;
             }
-            if (combine_fn_ != nullptr) {
-              bucket = combine_bucket(std::move(bucket));  // key-sorted out
-            } else {
+            if (!folding) {
               std::stable_sort(bucket.begin(), bucket.end(),
                                [](const auto& a, const auto& b) {
                                  return a.first < b.first;
@@ -355,6 +373,11 @@ class Job {
               for (auto& [k2, v2] : emitter.pairs()) {
                 const std::size_t partition =
                     std::hash<K2>{}(k2) % static_cast<std::size_t>(reducers);
+                if (folding) {
+                  buffered_bytes += worker_tables[tid][partition].add(
+                      std::move(k2), std::move(v2));
+                  continue;
+                }
                 if (spilling) {
                   buffered_bytes += static_cast<std::int64_t>(
                       oocore::approx_bytes(k2) + oocore::approx_bytes(v2));
@@ -367,25 +390,22 @@ class Job {
                 spill_worker();
               }
             });
-        if (combine_fn_ != nullptr) {
-          for (auto& bucket : buckets) {
-            bucket = combine_bucket(std::move(bucket));
-          }
-        }
+        drain_tables(tid);
       });
       map_profile = mapped.profile;
     } catch (const rt::Cancelled& cancelled) {
       if (deadline_policy_ == DeadlinePolicy::Abort) {
         throw;  // ~ScratchDir drops any runs spilled before the cut
       }
-      // Salvage: each record's emissions land in the buckets within its
-      // own iteration and members only stop at chunk boundaries, so the
-      // buckets hold exactly the completed records — never a torn one.
-      // The for_each end barrier gates the combiner, so no worker
-      // combined before the drain; skipping the combiner outright keeps
-      // every leftover bucket in the same (uncombined) state, which the
-      // reducer handles anyway. Runs spilled before the cut were combined
-      // at spill time — also fine, the reducer accepts mixed states.
+      // Salvage: each record's emissions land in the buckets or fold
+      // tables within its own iteration and members only stop at chunk
+      // boundaries, so they hold exactly the completed records — never a
+      // torn one. Draining the tables (a no-op for those a worker
+      // already drained) puts every kept record into the leftover
+      // buckets.
+      for (std::size_t w = 0; w < worker_tables.size(); ++w) {
+        drain_tables(w);
+      }
       deadline_hit = true;
       mapped_records = cancelled.total_completed();
       map_profile = cancelled.profile();
@@ -481,11 +501,11 @@ class Job {
   /// the worker budget and fan-in in reduce_partition_spilled.
   static constexpr std::size_t kSpillBufferBytes = std::size_t{128} << 10;
 
-  /// Sort-then-run-length grouping over a flat pair vector: the shuffle
-  /// core shared by the combiner and the reducer. stable_sort keeps equal
-  /// keys in emission order, so each key's value list is byte-identical
-  /// to what the old std::map<K2, std::vector<V2>> grouping produced,
-  /// without one node allocation per key.
+  /// Sort-then-run-length grouping over a flat pair vector: the
+  /// reducer's shuffle core. stable_sort keeps equal keys in emission
+  /// order, so each key's value list is byte-identical to what the old
+  /// std::map<K2, std::vector<V2>> grouping produced, without one node
+  /// allocation per key.
   template <class Fn, class Out>
   static void group_and_apply(std::vector<std::pair<K2, V2>>& flat,
                               const Fn& fn, std::vector<Out>& out) {
@@ -505,12 +525,6 @@ class Job {
       out.emplace_back(std::move(flat[i].first), std::move(result));
       i = j;
     }
-  }
-
-  BucketT combine_bucket(BucketT bucket) const {
-    BucketT combined;
-    group_and_apply(bucket, combine_fn_, combined);
-    return combined;
   }
 
   std::vector<std::pair<K2, VOut>> reduce_partition(
@@ -595,8 +609,8 @@ class Job {
         in_bytes += run.bytes;
       }
       BucketT& leftover = worker_buckets[w][partition];
-      // Leftovers may be unsorted (no combiner, or a salvaged cut):
-      // stable_sort puts each on the same footing as a spilled run.
+      // Leftovers are unsorted without a combiner: stable_sort puts each
+      // on the same footing as a spilled run.
       std::stable_sort(
           leftover.begin(), leftover.end(),
           [](const auto& a, const auto& b) { return a.first < b.first; });

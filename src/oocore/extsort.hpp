@@ -169,16 +169,19 @@ ExtSortReport sort_file(const std::filesystem::path& input,
     scratch = &*own_scratch;
   }
 
-  rt::ParallelConfig config = rt::ParallelConfig::host(threads);
-  if (opts.record_trace) {
-    config = config.traced();
-  }
-  if (opts.cancel.valid()) {
-    config = config.cancellable(opts.cancel);
-  }
-  if (opts.deadline_s > 0.0) {
-    config = config.deadline(opts.deadline_s);
-  }
+  const auto region_config = [&opts](int width) {
+    rt::ParallelConfig config = rt::ParallelConfig::host(width);
+    if (opts.record_trace) {
+      config = config.traced();
+    }
+    if (opts.cancel.valid()) {
+      config = config.cancellable(opts.cancel);
+    }
+    if (opts.deadline_s > 0.0) {
+      config = config.deadline(opts.deadline_s);
+    }
+    return config;
+  };
 
   // --- Phase 1: parallel run formation over the steal schedule. Each
   // worker's live memory is one run buffer (budget/threads) plus one
@@ -195,6 +198,7 @@ ExtSortReport sort_file(const std::filesystem::path& input,
   }
   std::atomic<std::int64_t> spilled_bytes{0};
 
+  const rt::ParallelConfig config = region_config(threads);
   rt::RunResult formed = rt::parallel(config, [&](rt::TeamContext& tc) {
     std::vector<T> buffer;
     rt::for_each(
@@ -235,7 +239,9 @@ ExtSortReport sort_file(const std::filesystem::path& input,
 
   // --- Phase 2: k-way merge passes. Fan-in is what the budget can
   // buffer: every concurrently-merging group holds 2 read-ahead blocks
-  // per input run, and up to `threads` groups run at once.
+  // per input run, and up to `threads` groups run at once. When the
+  // fan-in is forced above that (the floor of 2, or max_fan_in), fewer
+  // groups run at once instead, so the read-ahead still fits the budget.
   int fan_in = opts.max_fan_in;
   if (fan_in == 0) {
     fan_in = static_cast<int>(opts.memory_budget_bytes /
@@ -244,6 +250,11 @@ ExtSortReport sort_file(const std::filesystem::path& input,
   }
   fan_in = std::clamp(fan_in, 2, 128);
   report.merge_fan_in = fan_in;
+  const rt::ParallelConfig merge_config =
+      region_config(static_cast<int>(std::clamp<std::size_t>(
+          opts.memory_budget_bytes /
+              (2 * opts.io_buffer_bytes * static_cast<std::size_t>(fan_in)),
+          1, static_cast<std::size_t>(threads))));
 
   std::vector<fs::path> current = std::move(runs);
   std::uint64_t merge_salt = 1'000'000;
@@ -259,7 +270,7 @@ ExtSortReport sort_file(const std::filesystem::path& input,
     }
 
     Prefetcher prefetcher;  // one read-ahead thread serves the whole pass
-    rt::RunResult merged = rt::parallel(config, [&](rt::TeamContext& tc) {
+    rt::RunResult merged = rt::parallel(merge_config, [&](rt::TeamContext& tc) {
       rt::for_each(
           tc, rt::Range::upto(static_cast<std::int64_t>(groups)),
           rt::Schedule::dynamic(1), [&](std::int64_t g) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -12,10 +13,11 @@
 namespace pblpar::oocore {
 
 /// Approximate heap footprint of a value, used by the spillable shuffle's
-/// per-worker byte accounting. It intentionally counts payload bytes, not
-/// allocator slack — the budget is a target, not a hard rlimit, and the
-/// map phase checks it after every record so the overshoot is bounded by
-/// one record's emissions.
+/// per-worker byte accounting. It counts payload bytes, not allocator
+/// slack (mapreduce::FoldTable adds its per-entry node overhead on top) —
+/// the budget is a target, not a hard rlimit, and the map phase checks it
+/// after every record so the overshoot is bounded by one record's
+/// emissions.
 template <class T>
 inline std::size_t approx_bytes(const T& value) {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -56,9 +58,9 @@ class RunWriter {
     if constexpr (std::is_trivially_copyable_v<T>) {
       sink_->write(&value, sizeof(T));
     } else {
-      cluster::Writer writer;
-      cluster::WireCodec<T>::write(writer, value);
-      const std::vector<std::byte> bytes = writer.take();
+      scratch_.clear();  // keeps the capacity: no allocation per record
+      cluster::WireCodec<T>::write(scratch_, value);
+      const std::span<const std::byte> bytes = scratch_.view();
       const auto length = static_cast<std::uint32_t>(bytes.size());
       sink_->write(&length, sizeof(length));
       sink_->write(bytes.data(), bytes.size());
@@ -70,6 +72,7 @@ class RunWriter {
 
  private:
   SpillWriter* sink_;
+  cluster::Writer scratch_;
   std::int64_t records_ = 0;
 };
 

@@ -1,3 +1,4 @@
+#include "mapreduce/fold_table.hpp"
 #include "mapreduce/job.hpp"
 #include "mapreduce/jobs.hpp"
 
@@ -97,6 +98,40 @@ TEST(JobTest, CombinerDoesNotChangeResult) {
   const auto with = build(true).run(inputs);
   const auto without = build(false).run(inputs);
   EXPECT_EQ(with, without);
+}
+
+TEST(FoldTableTest, FoldsLeftInEmissionOrderAndDrainsSorted) {
+  // Concatenation is associative but not commutative, so the drained
+  // values show the fold order.
+  using Table = FoldTable<std::string, std::string>;
+  const Table::CombineFn concat =
+      [](const std::string&, const std::vector<std::string>& parts) {
+        EXPECT_EQ(parts.size(), 2u);
+        return parts[0] + parts[1];
+      };
+  Table table(concat);
+  const std::string b = "b";
+  const std::string one = "1";
+  EXPECT_EQ(table.add(b, one),
+            static_cast<std::int64_t>(oocore::approx_bytes(b) +
+                                      oocore::approx_bytes(one)) +
+                Table::kEntryOverheadBytes);
+  EXPECT_GT(table.add("a", "x"), 0);
+  EXPECT_EQ(table.add("b", "2"), 0);  // a fold does not grow the table
+  EXPECT_EQ(table.add("b", "3"), 0);
+
+  std::vector<std::pair<std::string, std::string>> out = {{"z", "kept"}};
+  table.drain_sorted(out);
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"z", "kept"}, {"a", "x"}, {"b", "123"}};
+  EXPECT_EQ(out, expected);
+
+  // A drained table is empty: the next fill starts new entries.
+  EXPECT_GT(table.add("b", "4"), 0);
+  std::vector<std::pair<std::string, std::string>> again;
+  table.drain_sorted(again);
+  EXPECT_EQ(again,
+            (std::vector<std::pair<std::string, std::string>>{{"b", "4"}}));
 }
 
 TEST(JobTest, ThreadCountInvariance) {

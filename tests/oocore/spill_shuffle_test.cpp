@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "cluster/wire.hpp"
 #include "mapreduce/defs.hpp"
 #include "mapreduce/job.hpp"
+#include "mapreduce/jobs.hpp"
 #include "rt/cancel.hpp"
 #include "util/error.hpp"
 #include "util/text.hpp"
@@ -159,6 +159,36 @@ TEST_F(SpillShuffleTest, MeanPerKeySpillsByteIdentical) {
   expect_spill_identity(job, samples);
 }
 
+TEST_F(SpillShuffleTest, FoldedKeysFitABudgetTheRawPairsOverflow) {
+  // 118 distinct words over 2000 documents: the raw (word, 1) emissions
+  // are far past the budget, but with a combiner the budget counts the
+  // fold tables' distinct keys, which fit.
+  const std::vector<std::string> documents = make_documents(2000);
+  constexpr std::int64_t kBudget = std::int64_t{64} << 10;
+  std::int64_t raw_bytes = 0;
+  for (const std::string& text : documents) {
+    for (const std::string& word : util::tokenize_words(text)) {
+      raw_bytes += static_cast<std::int64_t>(oocore::approx_bytes(word) +
+                                             oocore::approx_bytes(1L));
+    }
+  }
+  ASSERT_GE(raw_bytes, 10 * kBudget);
+
+  const auto inputs = defs::indexed(documents);
+  Job<int, std::string, std::string, long> job;
+  defs::WordCountDef{}.configure(job);
+  job.threads(4).reducers(3);
+  const auto in_memory = job.run(inputs);
+
+  RunReport report;
+  job.memory_budget_bytes(kBudget);
+  const auto budgeted = job.run(inputs, &report);
+  EXPECT_EQ(report.spilled_runs, 0);
+  EXPECT_EQ(report.spilled_bytes, 0);
+  EXPECT_EQ(fingerprint(in_memory), fingerprint(budgeted));
+  EXPECT_EQ(in_memory, budgeted);
+}
+
 TEST_F(SpillShuffleTest, BudgetKnobRejectsNonPositiveBytes) {
   Job<int, std::string, std::string, long> job;
   EXPECT_THROW(job.memory_budget_bytes(0), util::PreconditionError);
@@ -242,20 +272,24 @@ TEST_F(SpillShuffleTest, AbortCancelDropsSpillFiles) {
   // died with the throw.
 }
 
-TEST_F(SpillShuffleTest, SalvageAfterSpillStillReduces) {
-  const auto inputs = defs::indexed(make_documents(400));
-  Job<int, std::string, std::string, long> baseline_job;
-  defs::WordCountDef{}.configure(baseline_job);
-  baseline_job.threads(4).reducers(3);
-  const auto full = baseline_job.run(inputs);
-  std::map<std::string, long> full_counts(full.begin(), full.end());
+/// Cancel a word count mid-map under Salvage and require the output to be
+/// exactly the word count of the records the mapper ran for: every kept
+/// emission, whether spilled, still in a fold table or in a leftover
+/// bucket, reaches the reducer, and no other does.
+void expect_salvage_keeps_mapped_records(std::int64_t budget_bytes) {
+  const std::vector<std::string> documents = make_documents(400);
+  const auto inputs = defs::indexed(documents);
+  // One slot per record, written only by the worker mapping it.
+  std::vector<char> mapped_ids(documents.size(), 0);
 
   rt::CancelSource source;
   Job<int, std::string, std::string, long> job;
   defs::WordCountDef{}.configure(job);
   std::atomic<int> mapped{0};
-  job.map([&source, &mapped](const int&, const std::string& text,
-                             Emitter<std::string, long>& out) {
+  job.map([&source, &mapped, &mapped_ids](const int& id,
+                                          const std::string& text,
+                                          Emitter<std::string, long>& out) {
+       mapped_ids[static_cast<std::size_t>(id)] = 1;
        if (mapped.fetch_add(1) == 150) {
          source.cancel();
        }
@@ -265,20 +299,36 @@ TEST_F(SpillShuffleTest, SalvageAfterSpillStillReduces) {
      })
       .threads(4)
       .reducers(3)
-      .memory_budget_bytes(kTinyBudget)
       .cancellable(source.token())
       .cut_policy(DeadlinePolicy::Salvage);
+  if (budget_bytes > 0) {
+    job.memory_budget_bytes(budget_bytes);
+  }
   RunReport report;
   const auto salvaged = job.run(inputs, &report);
   EXPECT_TRUE(report.deadline_hit);
   EXPECT_LT(report.mapped_records, report.total_records);
-  EXPECT_FALSE(salvaged.empty());
-  // A salvaged count can never exceed the full run's count for that key:
-  // the kept records are a subset of the input.
-  for (const auto& [word, count] : salvaged) {
-    ASSERT_TRUE(full_counts.count(word) > 0) << word;
-    EXPECT_LE(count, full_counts[word]) << word;
+  if (budget_bytes > 0) {
+    EXPECT_GT(report.spilled_runs, 0) << "the cut came before any spill";
   }
+
+  std::vector<std::string> kept;
+  for (std::size_t i = 0; i < documents.size(); ++i) {
+    if (mapped_ids[i] != 0) {
+      kept.push_back(documents[i]);
+    }
+  }
+  EXPECT_EQ(report.mapped_records, static_cast<std::int64_t>(kept.size()));
+  EXPECT_FALSE(salvaged.empty());
+  EXPECT_EQ(salvaged, word_count(kept, 4));
+}
+
+TEST_F(SpillShuffleTest, SalvageAfterSpillStillReduces) {
+  expect_salvage_keeps_mapped_records(kTinyBudget);
+}
+
+TEST_F(SpillShuffleTest, SalvageWithoutBudgetKeepsMappedRecords) {
+  expect_salvage_keeps_mapped_records(0);
 }
 
 }  // namespace

@@ -108,10 +108,12 @@ TEST(ServiceServerTest, StrideSchedulingIsWeightedAndDeterministic) {
   Server server({{"alice", 3.0}, {"bob", 1.0}, {"ops", 1.0}}, one_lane());
   JobTicket gate_ticket = server.submit("ops", gate.job());
   for (int i = 0; i < 6; ++i) {
-    server.submit("alice", log.job("a" + std::to_string(i)));
+    server.submit("alice",
+                  log.job(std::string("a").append(std::to_string(i))));
   }
   for (int i = 0; i < 2; ++i) {
-    server.submit("bob", log.job("b" + std::to_string(i)));
+    server.submit("bob",
+                  log.job(std::string("b").append(std::to_string(i))));
   }
   gate.release();
   server.drain();
