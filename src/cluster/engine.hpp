@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -341,57 +340,6 @@ struct ClusterRunResult {
   /// Ids of tasks without a result when a cancelled run wound down,
   /// ascending. Master only; empty on uncancelled runs.
   std::vector<int> incomplete_tasks;
-};
-
-/// How the engine reads the clock and charges modelled work on each
-/// transport. now() is seconds on the transport's clock.
-template <class CommT>
-struct TransportTraits;
-
-template <>
-struct TransportTraits<mp::Comm> {
-  static constexpr rt::TraceClock kClock = rt::TraceClock::HostSteady;
-  static double now(mp::Comm&) {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
-  // Host tasks do real work; modelled charges are meaningless.
-  static void charge_ops(mp::Comm&, double) {}
-  static void charge_seconds(mp::Comm&, double) {}
-};
-
-template <>
-struct TransportTraits<mp::SimComm> {
-  static constexpr rt::TraceClock kClock = rt::TraceClock::SimVirtual;
-  static double now(mp::SimComm& comm) { return comm.context().now(); }
-  static void charge_ops(mp::SimComm& comm, double ops) {
-    if (ops > 0.0) {
-      comm.context().compute(ops);
-    }
-  }
-  static void charge_seconds(mp::SimComm& comm, double seconds) {
-    if (seconds > 0.0) {
-      comm.context().compute(
-          comm.context().spec().us_to_ops(seconds * 1e6));
-    }
-  }
-};
-
-/// The reliability wrapper keeps the wrapped transport's clock and
-/// charging model.
-template <class CommT>
-struct TransportTraits<ReliableComm<CommT>> {
-  static constexpr rt::TraceClock kClock = TransportTraits<CommT>::kClock;
-  static double now(ReliableComm<CommT>& comm) {
-    return TransportTraits<CommT>::now(comm.underlying());
-  }
-  static void charge_ops(ReliableComm<CommT>& comm, double ops) {
-    TransportTraits<CommT>::charge_ops(comm.underlying(), ops);
-  }
-  static void charge_seconds(ReliableComm<CommT>& comm, double seconds) {
-    TransportTraits<CommT>::charge_seconds(comm.underlying(), seconds);
-  }
 };
 
 namespace detail {

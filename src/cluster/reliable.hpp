@@ -7,13 +7,16 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <map>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "mp/comm.hpp"
+#include "mp/endpoint.hpp"
 #include "mp/sim_world.hpp"
+#include "rt/trace.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -108,31 +111,50 @@ struct AckRecord {
   std::uint64_t seq = 0;
 };
 
-/// "Now" in the wrapped transport's clock domain.
+}  // namespace detail
+
+/// How the cluster tier reads each transport's clock and charges modelled
+/// work on it; now() is seconds on the transport's clock (wall seconds on
+/// the host world, virtual seconds on the Sim world).
 template <class CommT>
-struct ReliableClock;
+struct TransportTraits;
 
 template <>
-struct ReliableClock<mp::Comm> {
+struct TransportTraits<mp::Comm> {
+  static constexpr rt::TraceClock kClock = rt::TraceClock::HostSteady;
   static double now(mp::Comm&) {
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
   }
+  // Host tasks do real work; modelled charges are meaningless.
+  static void charge_ops(mp::Comm&, double) {}
+  static void charge_seconds(mp::Comm&, double) {}
 };
 
 template <>
-struct ReliableClock<mp::SimComm> {
+struct TransportTraits<mp::SimComm> {
+  static constexpr rt::TraceClock kClock = rt::TraceClock::SimVirtual;
   static double now(mp::SimComm& comm) { return comm.context().now(); }
+  static void charge_ops(mp::SimComm& comm, double ops) {
+    if (ops > 0.0) {
+      comm.context().compute(ops);
+    }
+  }
+  static void charge_seconds(mp::SimComm& comm, double seconds) {
+    if (seconds > 0.0) {
+      comm.context().compute(
+          comm.context().spec().us_to_ops(seconds * 1e6));
+    }
+  }
 };
 
-}  // namespace detail
-
-/// The ack/retry/dedup sublayer: wraps a Comm or SimComm and exposes the
-/// same transport concept (rank/size/pipeline_segment_bytes/send_raw/
-/// recv_raw/recv_raw_timed), so every collective algorithm and the
-/// cluster engine run over it unchanged — but now they survive an armed
-/// mp::TransportChaos plan.
+/// The ack/retry/dedup sublayer: wraps a Comm or SimComm and implements
+/// the same raw transport concept (rank/size/pipeline_segment_bytes/
+/// send_raw/recv_raw/recv_raw_timed) under mp::Endpoint's typed calls and
+/// collectives, so every collective algorithm and the cluster engine run
+/// over it unchanged — but now they survive an armed mp::TransportChaos
+/// plan.
 ///
 /// Protocol: every sequenced payload is prefixed with a 16-byte envelope
 /// [u64 seq][u64 flags]. Sequence numbers are monotonic per directed
@@ -149,7 +171,7 @@ struct ReliableClock<mp::SimComm> {
 /// self-describing); heartbeat-style traffic can opt out per message via
 /// send_raw_fire_and_forget (seq 0: no ack, no retry, no ordering).
 template <class CommT>
-class ReliableComm {
+class ReliableComm : public mp::Endpoint<ReliableComm<CommT>> {
  public:
   ReliableComm(CommT& comm, ReliabilityOptions options)
       : comm_(&comm), options_(options) {
@@ -240,20 +262,7 @@ class ReliableComm {
       // Sleep on the underlying transport until the next message, the
       // caller's deadline, or the next retransmit is due — whichever is
       // first.
-      double slice_s = deadline_s - now;
-      if (!unacked_.empty()) {
-        double next_retry = unacked_.front().next_retry_s;
-        for (const Pending& pending : unacked_) {
-          next_retry = std::min(next_retry, pending.next_retry_s);
-        }
-        slice_s = std::min(slice_s, next_retry - now);
-      }
-      slice_s = std::max(slice_s, 1e-4);  // never a pure spin
-      mp::RawMessage raw;
-      if (comm_->recv_raw_timed(mp::kAnySource, mp::kAnyTag, slice_s,
-                                &raw)) {
-        demux(std::move(raw));
-      }
+      wait_on_wire(std::min(deadline_s - now, next_retry_s() - now));
       now = now_s();
     }
   }
@@ -266,157 +275,13 @@ class ReliableComm {
   std::uint64_t flush() {
     const std::uint64_t abandoned_before = stats_.abandoned;
     while (!unacked_.empty()) {
-      double now = now_s();
-      pump(now);
+      pump(now_s());
       if (unacked_.empty()) {
         break;
       }
-      now = now_s();
-      double next_retry = unacked_.front().next_retry_s;
-      for (const Pending& pending : unacked_) {
-        next_retry = std::min(next_retry, pending.next_retry_s);
-      }
-      const double slice_s = std::max(next_retry - now, 1e-4);
-      mp::RawMessage raw;
-      if (comm_->recv_raw_timed(mp::kAnySource, mp::kAnyTag, slice_s,
-                                &raw)) {
-        demux(std::move(raw));
-      }
+      wait_on_wire(next_retry_s() - now_s());
     }
     return stats_.abandoned - abandoned_before;
-  }
-
-  // --- point to point (mirrors Comm) ---------------------------------------
-
-  template <class T>
-  void send(int dest, int tag, const T& value) {
-    util::require(tag >= 0,
-                  "ReliableComm::send: user tags must be non-negative");
-    send_raw(dest, tag, mp::type_hash_of<T>(), mp::Codec<T>::encode(value));
-  }
-
-  template <class U>
-  void send(int dest, int tag, std::vector<U>&& values) {
-    util::require(tag >= 0,
-                  "ReliableComm::send: user tags must be non-negative");
-    send_raw(dest, tag, mp::type_hash_of<std::vector<U>>(),
-             mp::Codec<std::vector<U>>::encode(std::move(values)));
-  }
-
-  void send(int dest, int tag, std::string&& text) {
-    util::require(tag >= 0,
-                  "ReliableComm::send: user tags must be non-negative");
-    send_raw(dest, tag, mp::type_hash_of<std::string>(),
-             mp::Codec<std::string>::encode(std::move(text)));
-  }
-
-  template <class T>
-  T recv(int source = mp::kAnySource, int tag = mp::kAnyTag,
-         mp::RecvStatus* status = nullptr) {
-    mp::RawMessage message = recv_raw(source, tag);
-    if (message.type_hash != mp::type_hash_of<T>()) {
-      throw mp::MpTypeError(
-          "ReliableComm::recv: matched message has a different payload type");
-    }
-    if (status != nullptr) {
-      status->source = message.source;
-      status->tag = message.tag;
-    }
-    return mp::Codec<T>::decode(message.payload);
-  }
-
-  template <class U>
-  mp::PayloadView<U> recv_view(int source = mp::kAnySource,
-                               int tag = mp::kAnyTag,
-                               mp::RecvStatus* status = nullptr) {
-    mp::RawMessage message = recv_raw(source, tag);
-    if (message.type_hash != mp::type_hash_of<std::vector<U>>()) {
-      throw mp::MpTypeError(
-          "ReliableComm::recv_view: matched message has a different payload "
-          "type");
-    }
-    if (status != nullptr) {
-      status->source = message.source;
-      status->tag = message.tag;
-    }
-    return mp::PayloadView<U>(std::move(message.payload));
-  }
-
-  template <class T>
-  T sendrecv(int dest, int send_tag, const T& value, int source,
-             int recv_tag) {
-    send(dest, send_tag, value);
-    return recv<T>(source, recv_tag);
-  }
-
-  // --- collectives (same algorithms, now loss-tolerant) --------------------
-
-  void barrier() { mp::detail::barrier(*this); }
-
-  template <class T>
-  void bcast(T& value, int root = 0) {
-    mp::detail::bcast(*this, value, root);
-  }
-
-  void bcast_raw(mp::Buffer& payload, int root = 0) {
-    mp::detail::bcast_raw(*this, payload, root);
-  }
-
-  template <class T, class Op>
-  T reduce(const T& value, Op op, int root = 0) {
-    return mp::detail::reduce(*this, value, op, root);
-  }
-
-  template <class T, class Op>
-  T allreduce(const T& value, Op op) {
-    return mp::detail::allreduce(*this, value, op);
-  }
-
-  template <class U, class Op>
-  void reduce_elementwise(std::vector<U>& data, Op op, int root = 0) {
-    mp::detail::reduce_elementwise(*this, data, op, root);
-  }
-
-  template <class U, class Op>
-  void allreduce_elementwise(std::vector<U>& data, Op op) {
-    mp::detail::allreduce_elementwise(*this, data, op);
-  }
-
-  template <class T>
-  T scatter(const std::vector<T>& values, int root = 0) {
-    return mp::detail::scatter(*this, values, root);
-  }
-
-  mp::Buffer scatter_raw(std::vector<mp::Buffer> blobs, int root = 0) {
-    return mp::detail::scatter_raw(*this, std::move(blobs), root);
-  }
-
-  template <class T>
-  std::vector<T> gather(const T& value, int root = 0) {
-    return mp::detail::gather(*this, value, root);
-  }
-
-  std::vector<mp::Buffer> gather_raw(mp::Buffer blob, int root = 0) {
-    return mp::detail::gather_raw(*this, std::move(blob), root);
-  }
-
-  template <class T>
-  std::vector<T> allgather(const T& value) {
-    return mp::detail::allgather(*this, value);
-  }
-
-  template <class U>
-  std::vector<mp::PayloadView<U>> allgather_view(std::vector<U>&& values) {
-    return mp::detail::allgather_view(*this, std::move(values));
-  }
-
-  template <class U, class Op>
-  void ring_allreduce(std::vector<U>& data, Op op) {
-    mp::detail::ring_allreduce(*this, data, op);
-  }
-
-  std::vector<double> ring_allreduce_sum(std::vector<double> data) {
-    return mp::detail::ring_allreduce_sum(*this, std::move(data));
   }
 
  private:
@@ -438,7 +303,7 @@ class ReliableComm {
     std::map<std::uint64_t, mp::RawMessage> stash;
   };
 
-  double now_s() { return detail::ReliableClock<CommT>::now(*comm_); }
+  double now_s() { return TransportTraits<CommT>::now(*comm_); }
 
   double jitter() {
     return options_.jitter_s > 0.0
@@ -456,6 +321,26 @@ class ReliableComm {
     mp::detail::copy_payload(dst + detail::kEnvelopeBytes, payload.data(),
                              payload.size());
     return envelope;
+  }
+
+  /// When the earliest unacked send is due for a retransmit; +inf with
+  /// nothing unacked.
+  double next_retry_s() const {
+    double next = std::numeric_limits<double>::infinity();
+    for (const Pending& pending : unacked_) {
+      next = std::min(next, pending.next_retry_s);
+    }
+    return next;
+  }
+
+  /// Block on the underlying transport for up to `slice_s` (never a pure
+  /// spin) and demux what arrives.
+  void wait_on_wire(double slice_s) {
+    mp::RawMessage raw;
+    if (comm_->recv_raw_timed(mp::kAnySource, mp::kAnyTag,
+                              std::max(slice_s, 1e-4), &raw)) {
+      demux(std::move(raw));
+    }
   }
 
   /// Drain everything the underlying transport has ready (one poll
@@ -576,6 +461,22 @@ class ReliableComm {
   std::vector<Pending> unacked_;
   std::map<int, RecvLink> recv_links_;     // per-source ordering + dedup
   std::deque<mp::RawMessage> delivered_;   // in-order, awaiting a match
+};
+
+/// The reliability wrapper keeps the wrapped transport's clock and
+/// charging model.
+template <class CommT>
+struct TransportTraits<ReliableComm<CommT>> {
+  static constexpr rt::TraceClock kClock = TransportTraits<CommT>::kClock;
+  static double now(ReliableComm<CommT>& comm) {
+    return TransportTraits<CommT>::now(comm.underlying());
+  }
+  static void charge_ops(ReliableComm<CommT>& comm, double ops) {
+    TransportTraits<CommT>::charge_ops(comm.underlying(), ops);
+  }
+  static void charge_seconds(ReliableComm<CommT>& comm, double seconds) {
+    TransportTraits<CommT>::charge_seconds(comm.underlying(), seconds);
+  }
 };
 
 /// Whether CommT is already a ReliableComm (so wrappers do not wrap

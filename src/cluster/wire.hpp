@@ -190,6 +190,12 @@ struct WireCodec<std::vector<U>> {
   }
   static std::vector<U> read(Reader& reader) {
     const std::uint32_t count = reader.u32();
+    // Every element encodes to at least one byte, so a count beyond the
+    // bytes left is corrupt; checking first keeps an untrusted count from
+    // sizing the allocation.
+    if (count > reader.remaining()) {
+      throw WireError("cluster wire: vector count exceeds the buffer");
+    }
     std::vector<U> values;
     values.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {

@@ -20,8 +20,11 @@ struct PoolClass {
   std::vector<std::byte*> blocks;
 };
 
+// Immortal: never destroyed, so a Buffer released during static
+// destruction still finds its class, and cached blocks stay reachable
+// (not leaked) at exit.
 PoolClass& pool_class(int index) {
-  static PoolClass classes[kClassCount];
+  static PoolClass* const classes = new PoolClass[kClassCount];
   return classes[index];
 }
 

@@ -56,15 +56,9 @@ inline std::size_t segment_count(std::size_t bytes, std::size_t seg) {
   return bytes <= seg ? 1 : (bytes + seg - 1) / seg;
 }
 
-/// The collective algorithms, generic over a transport endpoint with
-///   int rank(); int size();
-///   std::size_t pipeline_segment_bytes();   // 0 = never segment
-///   void send_raw(int dest, int tag, std::size_t type_hash,
-///                 Buffer payload);
-///   RawMessage recv_raw(int source, int tag);
-/// Both the host world (mp::Comm) and the simulated cluster
-/// (mp::SimComm) instantiate them, so the algorithms and their tests are
-/// shared.
+/// The collective algorithms, generic over the raw transport concept
+/// documented on mp::Endpoint (endpoint.hpp), whose forwards call them;
+/// every transport runs the same algorithms and their tests.
 
 inline void check_root(int root, int size) {
   util::require(root >= 0 && root < size, "collective: root rank out of range");

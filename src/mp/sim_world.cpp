@@ -1,6 +1,7 @@
 #include "mp/sim_world.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/error.hpp"
 
@@ -8,9 +9,28 @@ namespace pblpar::mp {
 
 namespace {
 
-bool matches(const RawMessage& message, int source, int tag) {
-  return (source == kAnySource || message.source == source) &&
-         (tag == kAnyTag || message.tag == tag);
+/// Scan `inbox` (locked by the caller through `mutex`) for a match. On a
+/// hit: remove it, unlock, wait out whatever wire time it still has in
+/// virtual time (a message cannot be consumed before it arrives), and
+/// return true with *out filled. On a miss the lock stays held.
+bool take_match(sim::Context& ctx, std::deque<detail::TimedMessage>& inbox,
+                sim::MutexHandle mutex, int source, int tag,
+                RawMessage* out) {
+  for (auto it = inbox.begin(); it != inbox.end(); ++it) {
+    if ((source == kAnySource || it->message.source == source) &&
+        (tag == kAnyTag || it->message.tag == tag)) {
+      detail::TimedMessage timed = std::move(*it);
+      inbox.erase(it);
+      ctx.unlock(mutex);
+      const double remaining_s = timed.arrival_s - ctx.now();
+      if (remaining_s > 0.0) {
+        ctx.compute(ctx.spec().us_to_ops(remaining_s * 1e6));
+      }
+      *out = std::move(timed.message);
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -34,108 +54,48 @@ void SimComm::send_raw(int dest, int tag, std::size_t type_hash,
   timed.message.payload = std::move(payload);
   timed.arrival_s = ctx_->now() + world_->spec.net_latency_us * 1e-6;
 
-  const auto sender = static_cast<std::size_t>(rank_);
-  world_->messages += 1;
-  world_->payload_bytes += bytes;
-  world_->rank_messages[sender] += 1;
-  world_->rank_bytes[sender] += bytes;
+  detail::WireCounters& wire = world_->wire[static_cast<std::size_t>(rank_)];
+  wire.count_send(bytes);
 
-  detail::SimChaosLink* link = nullptr;
-  if (!world_->chaos_links.empty()) {
-    detail::SimChaosLink& candidate =
-        world_->chaos_links[sender * static_cast<std::size_t>(size()) +
-                            static_cast<std::size_t>(dest)];
-    if (candidate.model != nullptr) {
-      link = &candidate;
-    }
+  // Everything that goes out now lands in the inbox under one lock and
+  // one wake-up; a dropped or held message takes neither.
+  const auto to = static_cast<std::size_t>(dest);
+  std::optional<sim::ScopedLock> lock;
+  detail::send_through_chaos(
+      world_->chaos_links.find(rank_, dest), wire, std::move(timed),
+      [](detail::TimedMessage& late, double delay_s) {
+        late.arrival_s += delay_s;
+      },
+      [&](detail::TimedMessage&& out) {
+        if (!lock.has_value()) {
+          lock.emplace(*ctx_, world_->inbox_mutexes[to]);
+        }
+        world_->inboxes[to].push_back(std::move(out));
+      });
+  if (lock.has_value()) {
+    ctx_->notify_all(world_->inbox_conditions[to]);
   }
-
-  detail::TimedMessage ghost;
-  bool have_ghost = false;
-  if (link != nullptr) {
-    const ChaosDecision decision =
-        detail::draw_chaos(*link->model, link->rng);
-    if (decision.drop) {
-      world_->rank_chaos_dropped[sender] += 1;
-      return;  // a held message, if any, stays held for the next send
-    }
-    if (decision.reorder && !link->held.has_value()) {
-      world_->rank_chaos_reordered[sender] += 1;
-      link->held = std::move(timed);
-      return;
-    }
-    if (decision.delay_s > 0.0) {
-      world_->rank_chaos_delayed[sender] += 1;
-      timed.arrival_s += decision.delay_s;
-    }
-    if (decision.duplicate) {
-      world_->rank_chaos_duplicated[sender] += 1;
-      ghost.message.source = timed.message.source;
-      ghost.message.tag = timed.message.tag;
-      ghost.message.type_hash = timed.message.type_hash;
-      ghost.message.payload = timed.message.payload;  // refcounted share
-      ghost.arrival_s = timed.arrival_s;
-      have_ghost = true;
-    }
-  }
-
-  sim::ScopedLock lock(
-      *ctx_, world_->inbox_mutexes[static_cast<std::size_t>(dest)]);
-  auto& inbox = world_->inboxes[static_cast<std::size_t>(dest)];
-  inbox.push_back(std::move(timed));
-  if (have_ghost) {
-    inbox.push_back(std::move(ghost));
-  }
-  if (link != nullptr && link->held.has_value()) {
-    inbox.push_back(std::move(*link->held));
-    link->held.reset();
-  }
-  ctx_->notify_all(
-      world_->inbox_conditions[static_cast<std::size_t>(dest)]);
 }
 
 WireStats SimComm::wire_stats(int rank) const {
   const int target = rank < 0 ? rank_ : rank;
   util::require(target >= 0 && target < size(),
                 "SimComm::wire_stats: rank out of range");
-  const auto index = static_cast<std::size_t>(target);
-  WireStats stats;
-  stats.messages = world_->rank_messages[index];
-  stats.bytes = world_->rank_bytes[index];
-  stats.chaos_dropped = world_->rank_chaos_dropped[index];
-  stats.chaos_duplicated = world_->rank_chaos_duplicated[index];
-  stats.chaos_delayed = world_->rank_chaos_delayed[index];
-  stats.chaos_reordered = world_->rank_chaos_reordered[index];
-  return stats;
+  return world_->wire[static_cast<std::size_t>(target)].snapshot();
 }
 
 RawMessage SimComm::recv_raw(int source, int tag) {
   util::require(source == kAnySource || (source >= 0 && source < size()),
                 "SimComm::recv: source rank out of range");
   const auto index = static_cast<std::size_t>(rank_);
-  auto& inbox = world_->inboxes[index];
   const sim::MutexHandle mutex = world_->inbox_mutexes[index];
-  const sim::ConditionHandle condition = world_->inbox_conditions[index];
-
   ctx_->lock(mutex);
-  for (;;) {
-    for (auto it = inbox.begin(); it != inbox.end(); ++it) {
-      if (matches(it->message, source, tag)) {
-        detail::TimedMessage timed = std::move(*it);
-        inbox.erase(it);
-        ctx_->unlock(mutex);
-        // A message cannot be consumed before it arrives: if we matched
-        // it while it is still in flight, wait out the remaining wire
-        // time in virtual time.
-        const double remaining_s = timed.arrival_s - ctx_->now();
-        if (remaining_s > 0.0) {
-          ctx_->compute(ctx_->spec().us_to_ops(remaining_s * 1e6));
-        }
-        return std::move(timed.message);
-      }
-    }
-    ctx_->wait(condition, mutex);
+  RawMessage out;
+  while (!take_match(*ctx_, world_->inboxes[index], mutex, source, tag,
+                     &out)) {
+    ctx_->wait(world_->inbox_conditions[index], mutex);
   }
+  return out;
 }
 
 bool SimComm::recv_raw_timed(int source, int tag, double timeout_s,
@@ -143,33 +103,20 @@ bool SimComm::recv_raw_timed(int source, int tag, double timeout_s,
   util::require(source == kAnySource || (source >= 0 && source < size()),
                 "SimComm::recv: source rank out of range");
   const auto index = static_cast<std::size_t>(rank_);
-  auto& inbox = world_->inboxes[index];
   const sim::MutexHandle mutex = world_->inbox_mutexes[index];
-  const sim::ConditionHandle condition = world_->inbox_conditions[index];
   // Zero (or negative, clamped) timeout = a poll: scan the inbox once,
   // then wait_until with a past deadline yields and times out at once.
   const double deadline_s = ctx_->now() + std::max(timeout_s, 0.0);
-
   ctx_->lock(mutex);
-  for (;;) {
-    for (auto it = inbox.begin(); it != inbox.end(); ++it) {
-      if (matches(it->message, source, tag)) {
-        detail::TimedMessage timed = std::move(*it);
-        inbox.erase(it);
-        ctx_->unlock(mutex);
-        const double remaining_s = timed.arrival_s - ctx_->now();
-        if (remaining_s > 0.0) {
-          ctx_->compute(ctx_->spec().us_to_ops(remaining_s * 1e6));
-        }
-        *out = std::move(timed.message);
-        return true;
-      }
-    }
-    if (!ctx_->wait_until(condition, mutex, deadline_s)) {
+  while (!take_match(*ctx_, world_->inboxes[index], mutex, source, tag,
+                     out)) {
+    if (!ctx_->wait_until(world_->inbox_conditions[index], mutex,
+                          deadline_s)) {
       ctx_->unlock(mutex);
       return false;
     }
   }
+  return true;
 }
 
 ClusterReport SimWorld::run(int num_ranks,
@@ -195,35 +142,13 @@ ClusterReport SimWorld::run(int num_ranks,
   state.size = num_ranks;
   state.spec = spec;
   state.inboxes.resize(static_cast<std::size_t>(num_ranks));
-  state.rank_messages.assign(static_cast<std::size_t>(num_ranks), 0);
-  state.rank_bytes.assign(static_cast<std::size_t>(num_ranks), 0);
-  state.rank_chaos_dropped.assign(static_cast<std::size_t>(num_ranks), 0);
-  state.rank_chaos_duplicated.assign(static_cast<std::size_t>(num_ranks), 0);
-  state.rank_chaos_delayed.assign(static_cast<std::size_t>(num_ranks), 0);
-  state.rank_chaos_reordered.assign(static_cast<std::size_t>(num_ranks), 0);
+  state.wire = std::make_unique<detail::WireCounters[]>(
+      static_cast<std::size_t>(num_ranks));
   for (int r = 0; r < num_ranks; ++r) {
     state.inbox_mutexes.push_back(machine.make_mutex());
     state.inbox_conditions.push_back(machine.make_condition());
   }
-  if (state.spec.chaos.armed()) {
-    state.spec.chaos.validate();
-    state.chaos_links.resize(static_cast<std::size_t>(num_ranks) *
-                             static_cast<std::size_t>(num_ranks));
-    for (int s = 0; s < num_ranks; ++s) {
-      for (int d = 0; d < num_ranks; ++d) {
-        detail::SimChaosLink& link =
-            state.chaos_links[static_cast<std::size_t>(s) *
-                                  static_cast<std::size_t>(num_ranks) +
-                              static_cast<std::size_t>(d)];
-        const LinkChaos& model = state.spec.chaos.link_for(s, d);
-        if (!model.empty()) {
-          link.model = &model;
-          link.rng = detail::chaos_link_rng(state.spec.chaos.seed,
-                                            num_ranks, s, d);
-        }
-      }
-    }
-  }
+  state.chaos_links.arm(state.spec.chaos, num_ranks);
 
   ClusterReport report;
   report.machine = machine.run([&](sim::Context& root) {
@@ -240,10 +165,13 @@ ClusterReport SimWorld::run(int num_ranks,
       root.join(rank);
     }
   });
-  report.messages = state.messages;
-  report.payload_bytes = state.payload_bytes;
-  report.rank_messages = std::move(state.rank_messages);
-  report.rank_bytes = std::move(state.rank_bytes);
+  for (int r = 0; r < num_ranks; ++r) {
+    const WireStats wire = state.wire[static_cast<std::size_t>(r)].snapshot();
+    report.messages += wire.messages;
+    report.payload_bytes += wire.bytes;
+    report.rank_messages.push_back(wire.messages);
+    report.rank_bytes.push_back(wire.bytes);
+  }
   return report;
 }
 

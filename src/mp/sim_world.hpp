@@ -4,15 +4,12 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "mp/chaos.hpp"
-#include "mp/collectives.hpp"
-#include "mp/comm.hpp"  // kAnySource/kAnyTag/RecvStatus shared with the host world
+#include "mp/endpoint.hpp"
 #include "mp/message.hpp"
 #include "sim/machine.hpp"
-#include "util/rng.hpp"
 
 namespace pblpar::mp {
 
@@ -77,43 +74,26 @@ struct TimedMessage {
   double arrival_s = 0.0;
 };
 
-/// Chaos state of one directed simulated link: seeded stream plus the
-/// hold-one-back reorder slot (the held message keeps its original
-/// arrival time, so a release after later traffic lands it out of order).
-struct SimChaosLink {
-  const LinkChaos* model = nullptr;  // null = link unarmed
-  util::Rng rng{1};
-  std::optional<TimedMessage> held;
-};
-
 struct SimWorldState {
   int size = 0;
   ClusterSpec spec;
   std::vector<std::deque<TimedMessage>> inboxes;
   std::vector<sim::MutexHandle> inbox_mutexes;
   std::vector<sim::ConditionHandle> inbox_conditions;
-  std::uint64_t messages = 0;
-  std::uint64_t payload_bytes = 0;
-  // Rank execution is serialized by the simulator, so plain counters
-  // indexed by the sending rank are race-free.
-  std::vector<std::uint64_t> rank_messages;
-  std::vector<std::uint64_t> rank_bytes;
-  std::vector<std::uint64_t> rank_chaos_dropped;
-  std::vector<std::uint64_t> rank_chaos_duplicated;
-  std::vector<std::uint64_t> rank_chaos_delayed;
-  std::vector<std::uint64_t> rank_chaos_reordered;
-  /// size*size link states, row-major by source; empty when unarmed.
-  std::vector<SimChaosLink> chaos_links;
+  std::unique_ptr<WireCounters[]> wire;  // indexed by the sending rank
+  ChaosLinks<TimedMessage> chaos_links;
 };
 
 }  // namespace detail
 
-/// One rank's endpoint on the simulated cluster. Same API surface as the
-/// host-world Comm; timing comes from the machine model: sends charge the
-/// software overhead plus bytes/bandwidth to the sender, and a receive
-/// completes no earlier than send-completion + latency (the rank "waits
-/// for the wire" in virtual time).
-class SimComm {
+/// One rank's endpoint on the simulated cluster. It implements the raw
+/// transport under Endpoint's typed calls and collectives, so programs
+/// written for the host-world Comm run here unchanged; timing comes from
+/// the machine model: sends charge the software overhead plus
+/// bytes/bandwidth to the sender, and a receive completes no earlier than
+/// send-completion + latency (the rank "waits for the wire" in virtual
+/// time).
+class SimComm : public Endpoint<SimComm> {
  public:
   SimComm(detail::SimWorldState& world, sim::Context& ctx, int rank)
       : world_(&world), ctx_(&ctx), rank_(rank) {}
@@ -124,133 +104,6 @@ class SimComm {
   /// The simulated execution context of this rank's node (e.g. for
   /// charging local compute).
   sim::Context& context() { return *ctx_; }
-
-  template <class T>
-  void send(int dest, int tag, const T& value) {
-    util::require(tag >= 0, "SimComm::send: user tags must be non-negative");
-    send_raw(dest, tag, type_hash_of<T>(), Codec<T>::encode(value));
-  }
-
-  /// Move-of-ownership send (zero payload copies), as on the host Comm.
-  template <class U>
-  void send(int dest, int tag, std::vector<U>&& values) {
-    util::require(tag >= 0, "SimComm::send: user tags must be non-negative");
-    send_raw(dest, tag, type_hash_of<std::vector<U>>(),
-             Codec<std::vector<U>>::encode(std::move(values)));
-  }
-
-  void send(int dest, int tag, std::string&& text) {
-    util::require(tag >= 0, "SimComm::send: user tags must be non-negative");
-    send_raw(dest, tag, type_hash_of<std::string>(),
-             Codec<std::string>::encode(std::move(text)));
-  }
-
-  template <class T>
-  T recv(int source = kAnySource, int tag = kAnyTag,
-         RecvStatus* status = nullptr) {
-    RawMessage message = recv_raw(source, tag);
-    if (message.type_hash != type_hash_of<T>()) {
-      throw MpTypeError(
-          "SimComm::recv: matched message has a different payload type");
-    }
-    if (status != nullptr) {
-      status->source = message.source;
-      status->tag = message.tag;
-    }
-    return Codec<T>::decode(message.payload);
-  }
-
-  /// Zero-copy receive of a vector payload (see Comm::recv_view).
-  template <class U>
-  PayloadView<U> recv_view(int source = kAnySource, int tag = kAnyTag,
-                           RecvStatus* status = nullptr) {
-    RawMessage message = recv_raw(source, tag);
-    if (message.type_hash != type_hash_of<std::vector<U>>()) {
-      throw MpTypeError(
-          "SimComm::recv_view: matched message has a different payload type");
-    }
-    if (status != nullptr) {
-      status->source = message.source;
-      status->tag = message.tag;
-    }
-    return PayloadView<U>(std::move(message.payload));
-  }
-
-  template <class T>
-  T sendrecv(int dest, int send_tag, const T& value, int source,
-             int recv_tag) {
-    send(dest, send_tag, value);
-    return recv<T>(source, recv_tag);
-  }
-
-  void barrier() { detail::barrier(*this); }
-
-  template <class T>
-  void bcast(T& value, int root = 0) {
-    detail::bcast(*this, value, root);
-  }
-
-  void bcast_raw(Buffer& payload, int root = 0) {
-    detail::bcast_raw(*this, payload, root);
-  }
-
-  template <class T, class Op>
-  T reduce(const T& value, Op op, int root = 0) {
-    return detail::reduce(*this, value, op, root);
-  }
-
-  template <class T, class Op>
-  T allreduce(const T& value, Op op) {
-    return detail::allreduce(*this, value, op);
-  }
-
-  template <class U, class Op>
-  void reduce_elementwise(std::vector<U>& data, Op op, int root = 0) {
-    detail::reduce_elementwise(*this, data, op, root);
-  }
-
-  template <class U, class Op>
-  void allreduce_elementwise(std::vector<U>& data, Op op) {
-    detail::allreduce_elementwise(*this, data, op);
-  }
-
-  template <class T>
-  T scatter(const std::vector<T>& values, int root = 0) {
-    return detail::scatter(*this, values, root);
-  }
-
-  Buffer scatter_raw(std::vector<Buffer> blobs, int root = 0) {
-    return detail::scatter_raw(*this, std::move(blobs), root);
-  }
-
-  template <class T>
-  std::vector<T> gather(const T& value, int root = 0) {
-    return detail::gather(*this, value, root);
-  }
-
-  std::vector<Buffer> gather_raw(Buffer blob, int root = 0) {
-    return detail::gather_raw(*this, std::move(blob), root);
-  }
-
-  template <class T>
-  std::vector<T> allgather(const T& value) {
-    return detail::allgather(*this, value);
-  }
-
-  /// Zero-copy allgather of vector payloads (see Comm::allgather_view).
-  template <class U>
-  std::vector<PayloadView<U>> allgather_view(std::vector<U>&& values) {
-    return detail::allgather_view(*this, std::move(values));
-  }
-
-  template <class U, class Op>
-  void ring_allreduce(std::vector<U>& data, Op op) {
-    detail::ring_allreduce(*this, data, op);
-  }
-
-  std::vector<double> ring_allreduce_sum(std::vector<double> data) {
-    return detail::ring_allreduce_sum(*this, std::move(data));
-  }
 
   // --- raw transport (shared collective algorithms call these) ---------------
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,6 +90,28 @@ TEST(WireTest, EqualFieldSequencesEncodeToEqualBytes) {
     return writer.take();
   };
   EXPECT_EQ(encode(), encode());
+}
+
+TEST(WireTest, CorruptVectorCountIsAWireErrorNotAnAllocation) {
+  // A count of 2^32 - 1 with nothing behind it: the decoder must reject
+  // it before sizing any allocation from it.
+  const std::vector<std::byte> bytes(4, std::byte{0xff});
+  Reader strings(bytes);
+  EXPECT_THROW((void)WireCodec<std::vector<std::string>>::read(strings),
+               WireError);
+  Reader words(bytes);
+  EXPECT_THROW((void)WireCodec<std::vector<std::uint64_t>>::read(words),
+               WireError);
+}
+
+TEST(WireTest, VectorCountWithinTheBufferButShortElementsThrows) {
+  Writer writer;
+  writer.u32(2);
+  writer.u32(7);  // 4 bytes left: fewer than the 16 two u64s need
+  const std::vector<std::byte> bytes = writer.take();
+  Reader reader(bytes);
+  EXPECT_THROW((void)WireCodec<std::vector<std::uint64_t>>::read(reader),
+               WireError);
 }
 
 }  // namespace
