@@ -24,16 +24,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "cluster/reliable.hpp"
+#include "harness.hpp"
 #include "mp/chaos.hpp"
 #include "mp/sim_world.hpp"
 
 namespace {
 
+namespace bench = pblpar::bench;
+namespace util = pblpar::util;
 using pblpar::cluster::ReliabilityOptions;
 using pblpar::cluster::ReliableComm;
 using pblpar::cluster::RetryStats;
@@ -172,12 +174,7 @@ RunTrace run_drop_level(double drop, int ranks, int messages_per_sender,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::smoke_flag(argc, argv);
 
   const int ranks = 4;
   const int messages = smoke ? 40 : 400;
@@ -220,47 +217,33 @@ int main(int argc, char** argv) {
               identical ? "bit-identical" : "DIVERGED",
               replay.fingerprint.size());
 
-  const bool pass = traces[0].row.pass && traces[1].row.pass &&
-                    traces[2].row.pass && chaos_bit && identical;
-  std::printf("checks: goodput_rows=%s chaos_bit=%s replay_identical=%s\n",
-              (traces[0].row.pass && traces[1].row.pass && traces[2].row.pass)
-                  ? "yes"
-                  : "no",
-              chaos_bit ? "yes" : "no", identical ? "yes" : "no");
+  bench::Checks checks;
+  checks.add({.name = "goodput_rows",
+              .passed = traces[0].row.pass && traces[1].row.pass &&
+                        traces[2].row.pass,
+              .recorded = false});
+  checks.add({.name = "chaos_bit", .passed = chaos_bit});
+  checks.add({.name = "replay_identical", .passed = identical});
+  checks.print();
 
-  std::string json = "{\n  \"bench\": \"ubench_chaos\",\n";
-  json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  json += "  \"drop_levels\": [\n";
-  char buffer[512];
+  util::Json json(util::Json::Style::indented);
+  json.begin_object().fields("bench", "ubench_chaos", "smoke", smoke);
+  json.key("drop_levels").begin_array();
   for (int i = 0; i < 3; ++i) {
     const DropRun& row = traces[i].row;
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "    {\"drop\":%.2f,\"payload_bytes\":%lld,\"completion_s\":%.6f,"
-        "\"goodput_mb_s\":%.3f,\"data_sent\":%llu,\"retransmits\":%llu,"
-        "\"duplicates_dropped\":%llu,\"abandoned\":%llu,\"overhead\":%.4f,"
-        "\"overhead_bar\":%.2f,\"exactly_once\":%s,\"pass\":%s}%s\n",
-        row.drop, static_cast<long long>(row.payload_bytes),
-        row.completion_s, row.goodput_mb_s,
-        static_cast<unsigned long long>(row.data_sent),
-        static_cast<unsigned long long>(row.retransmits),
-        static_cast<unsigned long long>(row.duplicates_dropped),
-        static_cast<unsigned long long>(row.abandoned), row.overhead,
-        kOverheadBars[i], row.delivered_exactly_once ? "true" : "false",
-        row.pass ? "true" : "false", i < 2 ? "," : "");
-    json += buffer;
+    json.object("drop", row.drop, "payload_bytes", row.payload_bytes,
+                "completion_s", row.completion_s,
+                "goodput_mb_s", row.goodput_mb_s,
+                "data_sent", row.data_sent, "retransmits", row.retransmits,
+                "duplicates_dropped", row.duplicates_dropped,
+                "abandoned", row.abandoned, "overhead", row.overhead,
+                "overhead_bar", kOverheadBars[i],
+                "exactly_once", row.delivered_exactly_once,
+                "pass", row.pass);
   }
-  json += "  ],\n";
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"chaos_bit\": %s,\n  \"replay_identical\": %s,\n"
-                "  \"pass\": %s\n}\n",
-                chaos_bit ? "true" : "false", identical ? "true" : "false",
-                pass ? "true" : "false");
-  json += buffer;
-
-  std::ofstream out("BENCH_chaos.json");
-  out << json;
-  out.close();
-  std::printf("wrote BENCH_chaos.json\n");
-  return pass ? 0 : 1;
+  json.end_array();
+  checks.write(json);
+  json.field("pass", checks.passed()).end_object();
+  bench::write_file("BENCH_chaos.json", json);
+  return checks.exit_code();
 }

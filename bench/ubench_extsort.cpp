@@ -20,12 +20,9 @@
 // the bench-smoke ctest label uses it so the binary stays exercised.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <utility>
@@ -35,6 +32,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "harness.hpp"
 #include "mapreduce/defs.hpp"
 #include "mapreduce/job.hpp"
 #include "oocore/extsort.hpp"
@@ -46,18 +44,14 @@
 namespace {
 
 namespace fs = std::filesystem;
+namespace bench = pblpar::bench;
+namespace util = pblpar::util;
 using pblpar::oocore::ExtSortOptions;
 using pblpar::oocore::ExtSortReport;
 using pblpar::oocore::ScratchDir;
 using pblpar::oocore::SpillReader;
 using pblpar::oocore::SpillWriter;
 using pblpar::util::Rng;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Process high-water resident set in bytes (0 where unsupported).
 std::int64_t max_rss_bytes() {
@@ -172,10 +166,10 @@ BoundedRssResult run_bounded_rss(std::int64_t budget_bytes) {
                             static_cast<std::size_t>(budget_bytes) / 4);
 
   result.rss_before_bytes = max_rss_bytes();
-  const double start = now_s();
+  const auto start = bench::Clock::now();
   const ExtSortReport report = pblpar::oocore::sort_file<std::uint64_t>(
       input, output, opts);
-  result.seconds = now_s() - start;
+  result.seconds = bench::seconds_since(start);
   result.rss_after_bytes = max_rss_bytes();
   result.rss_growth_bytes = result.rss_after_bytes - result.rss_before_bytes;
   result.initial_runs = report.initial_runs;
@@ -219,9 +213,10 @@ CrossoverRow run_crossover_point(std::int64_t records,
   row.std_sort_seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < repeats; ++r) {
     std::vector<std::uint64_t> copy = data;
-    const double start = now_s();
+    const auto start = bench::Clock::now();
     std::sort(copy.begin(), copy.end());
-    row.std_sort_seconds = std::min(row.std_sort_seconds, now_s() - start);
+    row.std_sort_seconds =
+        std::min(row.std_sort_seconds, bench::seconds_since(start));
   }
   data.clear();
   data.shrink_to_fit();
@@ -232,10 +227,11 @@ CrossoverRow run_crossover_point(std::int64_t records,
   row.ext_sort_seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < repeats; ++r) {
     const fs::path output = staging.next_path("output");
-    const double start = now_s();
+    const auto start = bench::Clock::now();
     const ExtSortReport report = pblpar::oocore::sort_file<std::uint64_t>(
         input, output, opts);
-    row.ext_sort_seconds = std::min(row.ext_sort_seconds, now_s() - start);
+    row.ext_sort_seconds =
+        std::min(row.ext_sort_seconds, bench::seconds_since(start));
     row.external = report.external;
     if (r + 1 == repeats && !verify_sorted_file(output, checksum)) {
       row.ratio = -1.0;  // flag verification failure loudly in the JSON
@@ -290,9 +286,9 @@ SpillShuffleResult run_spill_shuffle(int documents, int repeats,
                              pblpar::mapreduce::RunReport* report) {
     double best = std::numeric_limits<double>::infinity();
     for (int r = 0; r < repeats; ++r) {
-      const double start = now_s();
+      const auto start = bench::Clock::now();
       auto rows = job.run(inputs, report);
-      best = std::min(best, now_s() - start);
+      best = std::min(best, bench::seconds_since(start));
       if (out != nullptr) {
         *out = std::move(rows);
       }
@@ -327,12 +323,7 @@ SpillShuffleResult run_spill_shuffle(int documents, int repeats,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::smoke_flag(argc, argv);
 
   // Phase 1 first: ru_maxrss is a lifetime high-water mark.
   const std::int64_t budget =
@@ -404,68 +395,43 @@ int main(int argc, char** argv) {
       shuffle.half_budget_seconds, shuffle.half_overhead,
       shuffle.identical ? "yes" : "no", shuffle.pass ? "yes" : "no");
 
-  std::printf("checks: bounded_rss=%s crossover=%s spill_overhead<=1.5x=%s\n",
-              rss.pass ? "yes" : "no", crossover_ok ? "yes" : "no",
-              shuffle.pass ? "yes" : "no");
+  // Each phase object below records its own `pass`.
+  bench::Checks checks;
+  checks.add({.name = "bounded_rss", .passed = rss.pass, .recorded = false});
+  checks.add(
+      {.name = "crossover", .passed = crossover_ok, .recorded = false});
+  checks.add(
+      {.name = "spill_shuffle", .passed = shuffle.pass, .recorded = false});
+  checks.print();
 
-  std::string json = "{\n  \"bench\": \"ubench_extsort\",\n";
-  json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  char buffer[512];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "  \"bounded_rss\": {\"dataset_bytes\":%lld,\"budget_bytes\":%lld,"
-      "\"rss_growth_bytes\":%lld,\"seconds\":%.6f,\"initial_runs\":%d,"
-      "\"merge_passes\":%d,\"sorted_ok\":%s,\"pass\":%s},\n",
-      static_cast<long long>(rss.dataset_bytes),
-      static_cast<long long>(rss.budget_bytes),
-      static_cast<long long>(rss.rss_growth_bytes), rss.seconds,
-      rss.initial_runs, rss.merge_passes, rss.sorted_ok ? "true" : "false",
-      rss.pass ? "true" : "false");
-  json += buffer;
-  json += "  \"crossover\": {\n";
-  std::snprintf(buffer, sizeof(buffer), "    \"budget_bytes\": %lld,\n",
-                static_cast<long long>(crossover_budget));
-  json += buffer;
-  json += "    \"rows\": [";
-  for (std::size_t i = 0; i < crossover.size(); ++i) {
-    const CrossoverRow& row = crossover[i];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "%s\n      {\"records\":%lld,\"bytes\":%lld,\"external\":%s,"
-        "\"std_sort_seconds\":%.6f,\"ext_sort_seconds\":%.6f,"
-        "\"ratio\":%.4f}",
-        i == 0 ? "" : ",", static_cast<long long>(row.records),
-        static_cast<long long>(row.bytes), row.external ? "true" : "false",
-        row.std_sort_seconds, row.ext_sort_seconds, row.ratio);
-    json += buffer;
+  util::Json json(util::Json::Style::indented);
+  json.begin_object().fields("bench", "ubench_extsort", "smoke", smoke);
+  json.key("bounded_rss").object(
+      "dataset_bytes", rss.dataset_bytes, "budget_bytes", rss.budget_bytes,
+      "rss_growth_bytes", rss.rss_growth_bytes, "seconds", rss.seconds,
+      "initial_runs", rss.initial_runs, "merge_passes", rss.merge_passes,
+      "sorted_ok", rss.sorted_ok, "pass", rss.pass);
+  json.key("crossover").begin_object().field("budget_bytes",
+                                             crossover_budget);
+  json.key("rows").begin_array();
+  for (const CrossoverRow& row : crossover) {
+    json.object("records", row.records, "bytes", row.bytes,
+                "external", row.external,
+                "std_sort_seconds", row.std_sort_seconds,
+                "ext_sort_seconds", row.ext_sort_seconds, "ratio", row.ratio);
   }
-  std::snprintf(buffer, sizeof(buffer), "\n    ],\n    \"pass\": %s\n  },\n",
-                crossover_ok ? "true" : "false");
-  json += buffer;
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "  \"spill_shuffle\": {\"input_bytes\":%lld,"
-      "\"in_memory_seconds\":%.6f,\"quarter_budget_seconds\":%.6f,"
-      "\"half_budget_seconds\":%.6f,\"quarter_overhead\":%.4f,"
-      "\"half_overhead\":%.4f,\"quarter_spilled_runs\":%lld,"
-      "\"quarter_spilled_bytes\":%lld,\"identical\":%s,\"pass\":%s},\n",
-      static_cast<long long>(shuffle.input_bytes),
-      shuffle.in_memory_seconds, shuffle.quarter_budget_seconds,
-      shuffle.half_budget_seconds, shuffle.quarter_overhead,
-      shuffle.half_overhead,
-      static_cast<long long>(shuffle.quarter_spilled_runs),
-      static_cast<long long>(shuffle.quarter_spilled_bytes),
-      shuffle.identical ? "true" : "false", shuffle.pass ? "true" : "false");
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"pass\": %s\n}\n",
-                (rss.pass && crossover_ok && shuffle.pass) ? "true"
-                                                           : "false");
-  json += buffer;
-
-  std::ofstream out("BENCH_extsort.json");
-  out << json;
-  out.close();
-  std::printf("wrote BENCH_extsort.json\n");
-  return (rss.pass && crossover_ok && shuffle.pass) ? 0 : 1;
+  json.end_array().field("pass", crossover_ok).end_object();
+  json.key("spill_shuffle").object(
+      "input_bytes", shuffle.input_bytes,
+      "in_memory_seconds", shuffle.in_memory_seconds,
+      "quarter_budget_seconds", shuffle.quarter_budget_seconds,
+      "half_budget_seconds", shuffle.half_budget_seconds,
+      "quarter_overhead", shuffle.quarter_overhead,
+      "half_overhead", shuffle.half_overhead,
+      "quarter_spilled_runs", shuffle.quarter_spilled_runs,
+      "quarter_spilled_bytes", shuffle.quarter_spilled_bytes,
+      "identical", shuffle.identical, "pass", shuffle.pass);
+  json.field("pass", checks.passed()).end_object();
+  bench::write_file("BENCH_extsort.json", json);
+  return checks.exit_code();
 }

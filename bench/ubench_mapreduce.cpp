@@ -7,10 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
-#include <iostream>
-
 #include "cluster/jobs.hpp"
+#include "harness.hpp"
 #include "mapreduce/job.hpp"
 #include "mapreduce/jobs.hpp"
 #include "mp/sim_world.hpp"
@@ -127,28 +125,24 @@ void emit_bench_json(const char* path) {
   ClusterScenario crash{"wordcount_worker_crash", {}};
   crash.faults.crashes.push_back(cluster::CrashFault{2, 1});
 
-  std::ofstream out(path);
-  out.precision(17);
-  out << "{\"schema\":\"pblpar.bench.v1\",\"suite\":\"mapreduce\","
-      << "\"results\":[";
-  bool first = true;
+  util::Json json(util::Json::Style::indented);
+  json.begin_object().fields("schema", "pblpar.bench.v1",
+                             "suite", "mapreduce");
+  json.key("results").begin_array();
   for (const ClusterScenario* scenario : {&clean, &straggler, &crash}) {
-    const cluster::ClusterProfile profile = run_scenario(*scenario, docs);
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "{\"name\":\"" << scenario->name
-        << "\",\"value\":" << profile.stats.makespan_s
-        << ",\"unit\":\"virtual_s\",\"extra\":{"
-        << "\"attempts\":" << profile.stats.attempts
-        << ",\"speculative_attempts\":" << profile.stats.speculative_attempts
-        << ",\"requeues\":" << profile.stats.requeues
-        << ",\"dead_workers\":" << profile.stats.dead_workers
-        << ",\"completion_s\":" << profile.stats.completion_s << "}}";
+    const cluster::ClusterStats stats = run_scenario(*scenario, docs).stats;
+    json.begin_object().fields("name", scenario->name,
+                               "value", stats.makespan_s,
+                               "unit", "virtual_s");
+    json.key("extra").object(
+        "attempts", stats.attempts,
+        "speculative_attempts", stats.speculative_attempts,
+        "requeues", stats.requeues, "dead_workers", stats.dead_workers,
+        "completion_s", stats.completion_s);
+    json.end_object();
   }
-  out << "]}\n";
-  std::cout << "wrote " << path << "\n";
+  json.end_array().end_object();
+  bench::write_file(path, json);
 }
 
 }  // namespace

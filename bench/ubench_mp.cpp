@@ -29,20 +29,20 @@
 // speedup ratios.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "mp/sim_world.hpp"
 #include "mp/world.hpp"
 
 namespace {
 
+namespace bench = pblpar::bench;
+namespace util = pblpar::util;
 using pblpar::mp::Buffer;
 using pblpar::mp::Codec;
 using pblpar::mp::Comm;
@@ -52,12 +52,6 @@ using pblpar::mp::SimComm;
 using pblpar::mp::SimWorld;
 using pblpar::mp::World;
 using pblpar::mp::WorldOptions;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 WorldOptions bench_options() {
   WorldOptions options;
@@ -129,10 +123,10 @@ double timed_collective(Comm& comm, int reps, Op&& op) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     comm.barrier();
-    const double start = now_s();
+    const auto start = bench::Clock::now();
     op();
     comm.barrier();
-    best = std::min(best, now_s() - start);
+    best = std::min(best, bench::seconds_since(start));
   }
   return best;
 }
@@ -410,12 +404,7 @@ MessageCountResult run_message_count(int ranks) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::smoke_flag(argc, argv);
 
   const int ranks = 8;
   const double bar =
@@ -467,63 +456,39 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(messages.expected),
       messages.pass ? "yes" : "no");
 
-  const bool pass = bcast.pass && gather.pass && copies.pass &&
-                    ring.pass && messages.pass;
-  std::printf(
-      "checks: bcast>=2x=%s allgather>=2x=%s copies<=1/hop=%s "
-      "ring_exact=%s messages_linear=%s\n",
-      bcast.pass ? "yes" : "no", gather.pass ? "yes" : "no",
-      copies.pass ? "yes" : "no", ring.pass ? "yes" : "no",
-      messages.pass ? "yes" : "no");
+  // Each phase object below records its own `pass`.
+  bench::Checks checks;
+  checks.add({.name = "bcast", .passed = bcast.pass, .recorded = false});
+  checks.add({.name = "allgather", .passed = gather.pass, .recorded = false});
+  checks.add(
+      {.name = "copy_discipline", .passed = copies.pass, .recorded = false});
+  checks.add(
+      {.name = "ring_allreduce", .passed = ring.pass, .recorded = false});
+  checks.add({.name = "allgather_messages",
+              .passed = messages.pass,
+              .recorded = false});
+  checks.print();
 
-  std::string json = "{\n  \"bench\": \"ubench_mp\",\n";
-  json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  char buffer[512];
-  const auto speedup_json = [&](const char* name, const SpeedupRow& row) {
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "  \"%s\": {\"ranks\":%d,\"payload_bytes\":%lld,"
-        "\"naive_seconds\":%.6f,\"new_seconds\":%.6f,\"speedup\":%.4f,"
-        "\"correct\":%s,\"pass\":%s},\n",
-        name, row.ranks, static_cast<long long>(row.payload_bytes),
-        row.naive_seconds, row.new_seconds, row.speedup,
-        row.correct ? "true" : "false", row.pass ? "true" : "false");
-    json += buffer;
-  };
-  speedup_json("bcast", bcast);
-  speedup_json("allgather", gather);
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "  \"copy_discipline\": {\"ranks\":%d,\"payload_bytes\":%lld,"
-      "\"bcast_copies_per_rank\":%.4f,\"zero_copy_copies\":%llu,"
-      "\"pass\":%s},\n",
-      copies.ranks, static_cast<long long>(copies.payload_bytes),
-      copies.bcast_copies_per_rank,
-      static_cast<unsigned long long>(copies.zero_copy_copies),
-      copies.pass ? "true" : "false");
-  json += buffer;
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "  \"ring_allreduce\": {\"ranks\":%d,\"elements\":%lld,"
-      "\"exact\":%s,\"pass\":%s},\n",
-      ring.ranks, static_cast<long long>(ring.elements),
-      ring.exact ? "true" : "false", ring.pass ? "true" : "false");
-  json += buffer;
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "  \"allgather_messages\": {\"ranks\":%d,\"messages\":%llu,"
-      "\"expected\":%llu,\"pass\":%s},\n",
-      messages.ranks, static_cast<unsigned long long>(messages.messages),
-      static_cast<unsigned long long>(messages.expected),
-      messages.pass ? "true" : "false");
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer), "  \"pass\": %s\n}\n",
-                pass ? "true" : "false");
-  json += buffer;
-
-  std::ofstream out("BENCH_mp.json");
-  out << json;
-  out.close();
-  std::printf("wrote BENCH_mp.json\n");
-  return pass ? 0 : 1;
+  util::Json json(util::Json::Style::indented);
+  json.begin_object().fields("bench", "ubench_mp", "smoke", smoke);
+  for (const auto& [name, row] : {std::pair{"bcast", bcast},
+                                  std::pair{"allgather", gather}}) {
+    json.key(name).object(
+        "ranks", row.ranks, "payload_bytes", row.payload_bytes,
+        "naive_seconds", row.naive_seconds, "new_seconds", row.new_seconds,
+        "speedup", row.speedup, "correct", row.correct, "pass", row.pass);
+  }
+  json.key("copy_discipline").object(
+      "ranks", copies.ranks, "payload_bytes", copies.payload_bytes,
+      "bcast_copies_per_rank", copies.bcast_copies_per_rank,
+      "zero_copy_copies", copies.zero_copy_copies, "pass", copies.pass);
+  json.key("ring_allreduce").object("ranks", ring.ranks,
+                                    "elements", ring.elements,
+                                    "exact", ring.exact, "pass", ring.pass);
+  json.key("allgather_messages").object(
+      "ranks", messages.ranks, "messages", messages.messages,
+      "expected", messages.expected, "pass", messages.pass);
+  json.field("pass", checks.passed()).end_object();
+  bench::write_file("BENCH_mp.json", json);
+  return checks.exit_code();
 }

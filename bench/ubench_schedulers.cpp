@@ -25,7 +25,6 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -33,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness.hpp"
 #include "mp/comm.hpp"
 #include "mp/mailbox.hpp"
 #include "rt/cancel.hpp"
@@ -43,12 +43,6 @@
 namespace {
 
 using namespace pblpar;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Busy work proportional to `units`; volatile so the optimizer keeps it.
 void spin(std::int64_t units) {
@@ -76,14 +70,14 @@ double time_host_loop(int threads, rt::Schedule schedule, std::int64_t total,
   rt::warm_up(rt::ParallelConfig::host(threads));
   double best = 1e300;
   for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = bench::Clock::now();
     rt::parallel(rt::ParallelConfig::host(threads), [&](rt::TeamContext& tc) {
       rt::for_each(tc, rt::Range::upto(total), schedule,
                    [&](std::int64_t i) {
                      spin(i >= heavy_from ? heavy_units : base_units);
                    });
     });
-    best = std::min(best, seconds_since(start));
+    best = std::min(best, bench::seconds_since(start));
   }
   return best;
 }
@@ -103,20 +97,32 @@ double time_region_launch(int threads, bool pooled, int repeats) {
   rt::parallel(config, [](rt::TeamContext&) {});
   std::vector<double> samples(static_cast<std::size_t>(repeats), 0.0);
   for (double& sample : samples) {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = bench::Clock::now();
     rt::parallel(config, [](rt::TeamContext&) {});
-    sample = seconds_since(start);
+    sample = bench::seconds_since(start);
   }
   const auto mid = samples.begin() + samples.size() / 2;
   std::nth_element(samples.begin(), mid, samples.end());
   return *mid;
 }
 
-struct LaunchRow {
+/// Spawn-path and pooled medians at one team width: the launch and the
+/// cancel rows.
+struct PoolRow {
   int threads = 0;
   double spawn_seconds = 0.0;
   double pool_seconds = 0.0;
 };
+
+/// The row measured at `threads`; all zero when none was.
+PoolRow row_at(const std::vector<PoolRow>& rows, int threads) {
+  for (const PoolRow& row : rows) {
+    if (row.threads == threads) {
+      return row;
+    }
+  }
+  return PoolRow{};
+}
 
 /// Median latency from an external cancel() to rt::Cancelled surfacing
 /// out of the region — the cooperative drain cost the runtime promises.
@@ -167,12 +173,6 @@ double time_cancel_drain(int threads, bool pooled, int repeats) {
   return *mid;
 }
 
-struct CancelRow {
-  int threads = 0;
-  double spawn_seconds = 0.0;
-  double pool_seconds = 0.0;
-};
-
 /// Deterministic Sim run of the same shape: the body is free, the cost
 /// model charges the per-iteration ops, and the backend charges its own
 /// claim costs (serialized shared counter vs mostly-local deque pops).
@@ -200,7 +200,7 @@ double time_trivial_loop(bool devirtualized, std::int64_t total,
   };
   double best = 1e300;
   for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = bench::Clock::now();
     rt::parallel(rt::ParallelConfig::host(1), [&](rt::TeamContext& tc) {
       if (devirtualized) {
         rt::for_each(tc, rt::Range::upto(total), rt::Schedule::static_block(),
@@ -210,7 +210,7 @@ double time_trivial_loop(bool devirtualized, std::int64_t total,
                      body);
       }
     });
-    best = std::min(best, seconds_since(start));
+    best = std::min(best, bench::seconds_since(start));
   }
   volatile double keep = data[static_cast<std::size_t>(total / 2)];
   (void)keep;
@@ -398,12 +398,12 @@ double time_mailbox_rtt_locked(int round_trips, int repeats) {
   to_origin.pop(&back, 60.0);  // warm-up exchange
   double best = 1e300;
   for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = bench::Clock::now();
     for (int i = 0; i < round_trips; ++i) {
       to_echo.push(ping_message());
       to_origin.pop(&back, 60.0);
     }
-    best = std::min(best, seconds_since(start));
+    best = std::min(best, bench::seconds_since(start));
   }
   echo.join();
   return best / round_trips;
@@ -429,36 +429,21 @@ double time_mailbox_rtt_lockfree(int round_trips, int repeats) {
   to_origin.pop_matching_timed(mp::kAnySource, mp::kAnyTag, 60.0, &back);
   double best = 1e300;
   for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = bench::Clock::now();
     for (int i = 0; i < round_trips; ++i) {
       to_echo.push(ping_message());
       to_origin.pop_matching_timed(mp::kAnySource, mp::kAnyTag, 60.0, &back);
     }
-    best = std::min(best, seconds_since(start));
+    best = std::min(best, bench::seconds_since(start));
   }
   echo.join();
   return best / round_trips;
 }
 
-void append_json_row(std::string& out, const LoopRow& row, bool first) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "%s\n    {\"backend\":\"%s\",\"profile\":\"%s\","
-                "\"threads\":%d,\"schedule\":\"%s\",\"seconds\":%.9f}",
-                first ? "" : ",", row.backend.c_str(), row.profile.c_str(),
-                row.threads, row.schedule.c_str(), row.seconds);
-  out += buffer;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::smoke_flag(argc, argv);
 
   // Shape: `total` iterations of a small spin; the skewed profile makes
   // the last eighth `kHeavyFactor` times heavier — the tail a static
@@ -519,9 +504,9 @@ int main(int argc, char** argv) {
   // path (fresh threads per region) — the number that decides whether a
   // thread-count sweep measures the loop or the fork.
   const int launch_repeats = smoke ? 50 : 500;
-  std::vector<LaunchRow> launch_rows;
+  std::vector<PoolRow> launch_rows;
   for (const int threads : thread_counts) {
-    LaunchRow row;
+    PoolRow row;
     row.threads = threads;
     row.spawn_seconds = time_region_launch(threads, false, launch_repeats);
     row.pool_seconds = time_region_launch(threads, true, launch_repeats);
@@ -539,9 +524,9 @@ int main(int argc, char** argv) {
   // the abortable-barrier drain — it must stay in launch-latency
   // territory, not loop-runtime territory.
   const int cancel_repeats = smoke ? 10 : 100;
-  std::vector<CancelRow> cancel_rows;
+  std::vector<PoolRow> cancel_rows;
   for (const int threads : thread_counts) {
-    CancelRow row;
+    PoolRow row;
     row.threads = threads;
     row.spawn_seconds = time_cancel_drain(threads, false, cancel_repeats);
     row.pool_seconds = time_cancel_drain(threads, true, cancel_repeats);
@@ -581,6 +566,10 @@ int main(int argc, char** argv) {
   double locked_deque_s = 1e300;
   double lockfree_rtt_s = 1e300;
   double locked_rtt_s = 1e300;
+  const auto lockfree_within_guard = [&] {
+    return chaselev_s <= 2.0 * locked_deque_s &&
+           lockfree_rtt_s <= 2.0 * locked_rtt_s;
+  };
   for (int attempt = 0; attempt < 3; ++attempt) {
     chaselev_s = std::min(
         chaselev_s, time_steal_drain<rt::ChaseLevSpan>(
@@ -592,8 +581,7 @@ int main(int argc, char** argv) {
         lockfree_rtt_s, time_mailbox_rtt_lockfree(round_trips, rtt_repeats));
     locked_rtt_s = std::min(
         locked_rtt_s, time_mailbox_rtt_locked(round_trips, rtt_repeats));
-    if (chaselev_s <= 2.0 * locked_deque_s &&
-        lockfree_rtt_s <= 2.0 * locked_rtt_s) {
+    if (lockfree_within_guard()) {
       break;
     }
   }
@@ -606,11 +594,6 @@ int main(int argc, char** argv) {
               "locked %8.3f us (%.2fx)\n",
               round_trips, lockfree_rtt_s * 1e6, locked_rtt_s * 1e6,
               lockfree_rtt_s > 0.0 ? locked_rtt_s / lockfree_rtt_s : 0.0);
-
-  // The committed check booleans use a 1.25x margin: lock-free must sit
-  // at or below the locked baseline, give or take scheduler noise.
-  const bool chaselev_not_worse = chaselev_s <= 1.25 * locked_deque_s;
-  const bool mailbox_not_worse = lockfree_rtt_s <= 1.25 * locked_rtt_s;
 
   // Acceptance probes: does steal beat dynamic,1 on the skewed loop at
   // every measured thread count >= 4 (host real time and sim virtual
@@ -641,7 +624,6 @@ int main(int argc, char** argv) {
                               loop_seconds("sim", "skewed", threads,
                                            "dynamic,1");
   }
-  const bool devirt_wins = inlined_s < wrapper_s;
 
   // Pool checks: launching on parked workers must beat spawning by >= 5x
   // at 4 threads (the Pi-class team width); uniform host loops must not
@@ -650,23 +632,12 @@ int main(int argc, char** argv) {
   // static on the uniform loop at 1 thread — the pure per-iteration
   // claim-overhead margin, measured without any multi-thread scheduling
   // noise.
-  const auto launch_of = [&launch_rows](int threads) {
-    for (const LaunchRow& row : launch_rows) {
-      if (row.threads == threads) {
-        return row;
-      }
-    }
-    return LaunchRow{};
-  };
   const int pool_check_threads =
       std::find(thread_counts.begin(), thread_counts.end(), 4) !=
               thread_counts.end()
           ? 4
           : thread_counts.back();
-  const LaunchRow check_row = launch_of(pool_check_threads);
-  const bool pool_beats_spawn =
-      check_row.pool_seconds > 0.0 &&
-      check_row.spawn_seconds >= 5.0 * check_row.pool_seconds;
+  const PoolRow check_row = row_at(launch_rows, pool_check_threads);
   const int t_lo = thread_counts.front();
   // "More threads must not be slower" is only a property the hardware
   // can deliver when the box is at least as wide as the team; a 1-core
@@ -675,13 +646,6 @@ int main(int argc, char** argv) {
   // machine width and pass it vacuously on narrow boxes.
   const bool static_check_applicable =
       rt::hardware_threads() >= pool_check_threads;
-  const bool static_no_degrade =
-      !static_check_applicable ||
-      loop_seconds("host", "uniform", pool_check_threads, "static") <=
-          loop_seconds("host", "uniform", t_lo, "static");
-  const bool dynamic1_close =
-      loop_seconds("host", "uniform", t_lo, "dynamic,1") <=
-      1.25 * loop_seconds("host", "uniform", t_lo, "static");
 
   // Cancellation must drain in launch-latency territory: the pooled
   // cancel drain at the Pi-class team width stays within 100x of a
@@ -689,127 +653,77 @@ int main(int argc, char** argv) {
   // drain includes one in-flight chunk and an OS-scheduler wakeup — but
   // tight enough to catch a drain that degenerates into running the
   // rest of the loop).
-  const auto cancel_of = [&cancel_rows](int threads) {
-    for (const CancelRow& row : cancel_rows) {
-      if (row.threads == threads) {
-        return row;
-      }
-    }
-    return CancelRow{};
+  const PoolRow cancel_check_row = row_at(cancel_rows, pool_check_threads);
+
+  // Every check but the last is recorded and only reports: timing bars
+  // on a shared box flake. The recorded lock-free checks use a 1.25x margin
+  // (lock-free must sit at or below the locked baseline, give or take
+  // scheduler noise). The exit code follows only a looser 2x guard band:
+  // wide enough that scheduler noise on a loaded (or single-core) box
+  // does not flake the tier-1 suite, tight enough to catch a lock-free
+  // path that degenerated into a convoy.
+  bench::Checks checks;
+  const auto report = [&checks](const char* name, bool passed) {
+    checks.add({.name = name, .passed = passed, .gates = false});
   };
-  const CancelRow cancel_check_row = cancel_of(pool_check_threads);
-  const bool cancel_drain_fast =
-      check_row.pool_seconds > 0.0 &&
-      cancel_check_row.pool_seconds <= 100.0 * check_row.pool_seconds;
+  report("steal_beats_dynamic1_skewed_host", steal_wins_host);
+  report("steal_beats_dynamic1_skewed_sim", steal_wins_sim);
+  report("for_each_beats_for_loop", inlined_s < wrapper_s);
+  report("pool_launch_beats_spawn",
+         check_row.pool_seconds > 0.0 &&
+             check_row.spawn_seconds >= 5.0 * check_row.pool_seconds);
+  report("static_uniform_no_degradation",
+         !static_check_applicable ||
+             loop_seconds("host", "uniform", pool_check_threads, "static") <=
+                 loop_seconds("host", "uniform", t_lo, "static"));
+  report("dynamic1_within_1p25x_static_uniform",
+         loop_seconds("host", "uniform", t_lo, "dynamic,1") <=
+             1.25 * loop_seconds("host", "uniform", t_lo, "static"));
+  report("cancel_drain_within_100x_pool_launch",
+         check_row.pool_seconds > 0.0 &&
+             cancel_check_row.pool_seconds <= 100.0 * check_row.pool_seconds);
+  report("chaselev_steal_not_worse_than_mutex_t8",
+         chaselev_s <= 1.25 * locked_deque_s);
+  report("mailbox_rtt_not_worse_than_locked",
+         lockfree_rtt_s <= 1.25 * locked_rtt_s);
+  checks.add({.name = "lockfree_within_2x_guard_band",
+              .passed = lockfree_within_guard(),
+              .recorded = false});
+  checks.print();
 
-  std::printf("checks: steal<dynamic,1 skewed 4+t host=%s sim=%s, "
-              "for_each<for_loop=%s, pool>=5x spawn@t%d=%s, "
-              "static t%d<=t%d uniform=%s, dynamic,1<=1.25x static@t%d=%s, "
-              "cancel drain<=100x pool launch@t%d=%s\n",
-              steal_wins_host ? "yes" : "no", steal_wins_sim ? "yes" : "no",
-              devirt_wins ? "yes" : "no", pool_check_threads,
-              pool_beats_spawn ? "yes" : "no", pool_check_threads, t_lo,
-              static_no_degrade ? "yes" : "no", t_lo,
-              dynamic1_close ? "yes" : "no", pool_check_threads,
-              cancel_drain_fast ? "yes" : "no");
-  std::printf("checks: chaselev<=1.25x mutex steal@t%d=%s, "
-              "lock-free<=1.25x locked mailbox rtt=%s\n",
-              steal_threads, chaselev_not_worse ? "yes" : "no",
-              mailbox_not_worse ? "yes" : "no");
-
-  std::string json = "{\n  \"bench\": \"ubench_schedulers\",\n";
-  json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  json += "  \"loops\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    append_json_row(json, rows[i], i == 0);
+  util::Json json(util::Json::Style::indented);
+  json.begin_object().fields("bench", "ubench_schedulers", "smoke", smoke);
+  json.key("loops").begin_array();
+  for (const LoopRow& row : rows) {
+    json.object("backend", row.backend, "profile", row.profile,
+                "threads", row.threads, "schedule", row.schedule,
+                "seconds", row.seconds);
   }
-  json += "\n  ],\n  \"launch\": [";
-  char buffer[384];
-  for (std::size_t i = 0; i < launch_rows.size(); ++i) {
-    const LaunchRow& row = launch_rows[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "%s\n    {\"threads\":%d,\"spawn_seconds\":%.9f,"
-                  "\"pool_seconds\":%.9f}",
-                  i == 0 ? "" : ",", row.threads, row.spawn_seconds,
-                  row.pool_seconds);
-    json += buffer;
+  json.end_array();
+  for (const auto& [name, pool_rows] :
+       {std::pair{"launch", &launch_rows}, std::pair{"cancel", &cancel_rows}}) {
+    json.key(name).begin_array();
+    for (const PoolRow& row : *pool_rows) {
+      json.object("threads", row.threads, "spawn_seconds", row.spawn_seconds,
+                  "pool_seconds", row.pool_seconds);
+    }
+    json.end_array();
   }
-  json += "\n  ],\n  \"cancel\": [";
-  for (std::size_t i = 0; i < cancel_rows.size(); ++i) {
-    const CancelRow& row = cancel_rows[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "%s\n    {\"threads\":%d,\"spawn_seconds\":%.9f,"
-                  "\"pool_seconds\":%.9f}",
-                  i == 0 ? "" : ",", row.threads, row.spawn_seconds,
-                  row.pool_seconds);
-    json += buffer;
-  }
-  json += "\n  ],\n  \"devirt\": {";
-  std::snprintf(buffer, sizeof(buffer),
-                "\"iterations\":%lld,\"for_loop_seconds\":%.9f,"
-                "\"for_each_seconds\":%.9f",
-                static_cast<long long>(devirt_total), wrapper_s, inlined_s);
-  json += buffer;
-  json += "},\n  \"lockfree\": {";
-  std::snprintf(buffer, sizeof(buffer),
-                "\n    \"steal_t8\":{\"chunks\":%lld,"
-                "\"chaselev_seconds\":%.9f,\"mutex_seconds\":%.9f},",
-                static_cast<long long>(steal_chunks), chaselev_s,
-                locked_deque_s);
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "\n    \"mailbox_rtt\":{\"round_trips\":%d,"
-                "\"lockfree_seconds\":%.9f,\"locked_seconds\":%.9f}\n  ",
-                round_trips, lockfree_rtt_s, locked_rtt_s);
-  json += buffer;
-  json += "},\n  \"checks\": {";
-  std::snprintf(buffer, sizeof(buffer),
-                "\"hardware_threads\":%d,"
-                "\"static_check_applicable\":%s,"
-                "\"steal_beats_dynamic1_skewed_host\":%s,",
-                rt::hardware_threads(),
-                static_check_applicable ? "true" : "false",
-                steal_wins_host ? "true" : "false");
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "\"steal_beats_dynamic1_skewed_sim\":%s,"
-                "\"for_each_beats_for_loop\":%s,"
-                "\"pool_launch_beats_spawn\":%s,"
-                "\"static_uniform_no_degradation\":%s,"
-                "\"dynamic1_within_1p25x_static_uniform\":%s,"
-                "\"cancel_drain_within_100x_pool_launch\":%s",
-                steal_wins_sim ? "true" : "false",
-                devirt_wins ? "true" : "false",
-                pool_beats_spawn ? "true" : "false",
-                static_no_degrade ? "true" : "false",
-                dynamic1_close ? "true" : "false",
-                cancel_drain_fast ? "true" : "false");
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                ",\"chaselev_steal_not_worse_than_mutex_t8\":%s,"
-                "\"mailbox_rtt_not_worse_than_locked\":%s",
-                chaselev_not_worse ? "true" : "false",
-                mailbox_not_worse ? "true" : "false");
-  json += buffer;
-  json += "}\n}\n";
-
-  std::ofstream out("BENCH_rt.json");
-  out << json;
-  std::printf("wrote BENCH_rt.json (%zu loop rows)\n", rows.size());
-
-  // Exit non-zero — failing the bench-smoke ctest — only past a looser
-  // 2x guard band: wide enough that scheduler noise on a loaded (or
-  // single-core) box does not flake the tier-1 suite, tight enough to
-  // catch a lock-free path that degenerated into a convoy.
-  const bool lockfree_guard = chaselev_s <= 2.0 * locked_deque_s &&
-                              lockfree_rtt_s <= 2.0 * locked_rtt_s;
-  if (!lockfree_guard) {
-    std::fprintf(stderr,
-                 "lock-free guard band exceeded: steal %.3f ms vs %.3f ms, "
-                 "rtt %.3f us vs %.3f us\n",
-                 chaselev_s * 1e3, locked_deque_s * 1e3, lockfree_rtt_s * 1e6,
-                 locked_rtt_s * 1e6);
-    return 1;
-  }
-  return 0;
+  json.key("devirt").object("iterations", devirt_total,
+                                        "for_loop_seconds", wrapper_s,
+                                        "for_each_seconds", inlined_s);
+  json.key("lockfree").begin_object();
+  json.key("steal_t8").object("chunks", steal_chunks,
+                              "chaselev_seconds", chaselev_s,
+                              "mutex_seconds", locked_deque_s);
+  json.key("mailbox_rtt").object("round_trips", round_trips,
+                                 "lockfree_seconds", lockfree_rtt_s,
+                                 "locked_seconds", locked_rtt_s);
+  json.end_object().key("checks").begin_object().fields(
+      "hardware_threads", rt::hardware_threads(),
+      "static_check_applicable", static_check_applicable);
+  checks.write(json);
+  json.end_object().end_object();
+  bench::write_file("BENCH_rt.json", json);
+  return checks.exit_code();
 }

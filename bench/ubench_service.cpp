@@ -25,13 +25,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "drugdesign/drugdesign.hpp"
+#include "harness.hpp"
 #include "rt/parallel.hpp"
 #include "service/jobs.hpp"
 #include "service/server.hpp"
@@ -39,6 +38,8 @@
 
 namespace {
 
+namespace bench = pblpar::bench;
+namespace util = pblpar::util;
 using pblpar::service::AdmissionPolicy;
 using pblpar::service::Job;
 using pblpar::service::JobContext;
@@ -51,12 +52,6 @@ using pblpar::service::Server;
 using pblpar::service::ServerOptions;
 using pblpar::service::ServerStats;
 using pblpar::service::TenantConfig;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// A job that spins until released; pins one lane so submissions queue
 /// up behind it deterministically.
@@ -92,8 +87,6 @@ struct FairnessResult {
   double max_ratio = 0.0;
   double min_ratio = 0.0;
   std::uint64_t light_first_completion = 0;
-  bool within_1p25x = false;
-  bool light_not_starved = false;
 };
 
 // The four course tenants with deliberately skewed shares: the intro
@@ -162,11 +155,6 @@ FairnessResult run_fairness(std::int64_t jobs_per_tenant,
     result.max_ratio = std::max(result.max_ratio, share.ratio);
     result.min_ratio = std::min(result.min_ratio, share.ratio);
   }
-  result.within_1p25x = result.max_ratio <= 1.25 && result.min_ratio >= 0.8;
-  // One full stride cycle (sum of weights = 15 dispatches) guarantees
-  // every tenant a dispatch; + the gate completion = 16.
-  result.light_not_starved =
-      result.light_first_completion > 0 && result.light_first_completion <= 16;
   return result;
 }
 
@@ -178,9 +166,7 @@ struct BurstResult {
   double drain_seconds = 0.0;
   double throughput_jobs_per_s = 0.0;
   std::int64_t completed = 0;
-  bool sustained_1000 = false;
-  bool depth_bounded = false;
-  bool all_done = false;
+  bool depth_bounded = false;  // after the drain
 };
 
 BurstResult run_burst(std::int64_t jobs) {
@@ -203,17 +189,17 @@ BurstResult run_burst(std::int64_t jobs) {
                                           1)));
   }
   const ServerStats loaded = server.stats();
-  const double release_at = now_s();
+  const auto release_at = bench::Clock::now();
   gate.open.store(true, std::memory_order_release);
   server.drain();
-  const double drained_at = now_s();
+  const double drain_seconds = bench::seconds_since(release_at);
 
   BurstResult result;
   result.submitted = jobs;
   result.in_flight_high_water = loaded.in_flight_high_water;
   result.queue_depth_high_water = loaded.queue_depth_high_water;
   result.depth_limit = options.max_queue_depth;
-  result.drain_seconds = drained_at - release_at;
+  result.drain_seconds = drain_seconds;
   result.throughput_jobs_per_s =
       result.drain_seconds > 0.0
           ? static_cast<double>(jobs) / result.drain_seconds
@@ -223,10 +209,8 @@ BurstResult run_burst(std::int64_t jobs) {
       ++result.completed;
     }
   }
-  result.sustained_1000 = result.in_flight_high_water >= 1000;
   result.depth_bounded =
       server.stats().queue_depth_high_water <= options.max_queue_depth;
-  result.all_done = result.completed == jobs;
   return result;
 }
 
@@ -238,7 +222,6 @@ struct BackpressureResult {
   int queue_depth_high_water = 0;
   std::int64_t completed = 0;
   bool all_rejected_have_retry_after = false;
-  bool depth_bounded = false;
 };
 
 BackpressureResult run_backpressure(int depth, std::int64_t flood) {
@@ -289,7 +272,6 @@ BackpressureResult run_backpressure(int depth, std::int64_t flood) {
   }
   const ServerStats stats = server.stats();
   result.queue_depth_high_water = stats.queue_depth_high_water;
-  result.depth_bounded = stats.queue_depth_high_water <= depth;
   return result;
 }
 
@@ -303,7 +285,6 @@ struct LatencyResult {
   std::int64_t done = 0;
   std::int64_t failed = 0;
   std::int64_t rejected = 0;
-  bool no_failures = false;
 };
 
 Job make_mixed_job(pblpar::util::Rng& rng) {
@@ -345,7 +326,7 @@ LatencyResult run_latency(std::int64_t jobs, double rate_hz,
   // honoured with sleep_until, independent of completions — a slow
   // server cannot slow the arrivals down, which is what makes queueing
   // visible in the sojourn times.
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = bench::Clock::now();
   std::vector<JobTicket> tickets;
   tickets.reserve(static_cast<std::size_t>(jobs));
   double arrival_s = 0.0;
@@ -359,9 +340,7 @@ LatencyResult run_latency(std::int64_t jobs, double rate_hz,
                                     make_mixed_job(rng)));
   }
   server.drain();
-  const double makespan =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double makespan = bench::seconds_since(start);
 
   LatencyResult result;
   result.jobs = jobs;
@@ -398,20 +377,13 @@ LatencyResult run_latency(std::int64_t jobs, double rate_hz,
   result.p99_s = percentile(0.99);
   result.throughput_jobs_per_s =
       makespan > 0.0 ? static_cast<double>(result.done) / makespan : 0.0;
-  result.no_failures =
-      result.failed == 0 && result.rejected == 0 && result.done == jobs;
   return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::smoke_flag(argc, argv);
 
   pblpar::rt::warm_up(pblpar::rt::ParallelConfig::host(2));
 
@@ -465,109 +437,76 @@ int main(int argc, char** argv) {
               static_cast<long long>(latency.jobs), latency.arrival_rate_hz,
               latency.p50_s, latency.p99_s, latency.throughput_jobs_per_s);
 
-  const bool checks_fair = fairness.within_1p25x;
-  const bool checks_light = fairness.light_not_starved;
-  const bool checks_burst =
-      burst.sustained_1000 && burst.all_done && burst.depth_bounded;
-  const bool checks_backpressure =
-      backpressure.all_rejected_have_retry_after &&
-      backpressure.rejected > 0 && backpressure.depth_bounded &&
-      backpressure.completed == backpressure.accepted;
-  const bool checks_latency = latency.no_failures;
-  std::printf("checks: fair-share<=1.25x=%s light-not-starved=%s "
-              "burst>=1000=%s backpressure=%s latency-no-failures=%s\n",
-              checks_fair ? "yes" : "no", checks_light ? "yes" : "no",
-              checks_burst ? "yes" : "no",
-              checks_backpressure ? "yes" : "no",
-              checks_latency ? "yes" : "no");
+  bench::Checks checks;
+  checks.add({.name = "fair_share_within_1p25x",
+              .passed = fairness.max_ratio <= 1.25 &&
+                        fairness.min_ratio >= 0.8});
+  // One full stride cycle (sum of weights = 15 dispatches) guarantees
+  // every tenant a dispatch; + the gate completion = 16.
+  checks.add({.name = "light_tenant_not_starved",
+              .passed = fairness.light_first_completion > 0 &&
+                        fairness.light_first_completion <= 16});
+  checks.add({.name = "burst_sustains_1000_in_flight",
+              .passed = burst.in_flight_high_water >= 1000 &&
+                        burst.completed == burst.submitted &&
+                        burst.depth_bounded});
+  const bool backpressure_bounded =
+      backpressure.queue_depth_high_water <= backpressure.depth_limit;
+  // Implied by the burst and backpressure checks, so it only reports.
+  checks.add({.name = "queue_depth_bounded",
+              .passed = burst.depth_bounded && backpressure_bounded,
+              .gates = false});
+  checks.add({.name = "rejected_report_retry_after",
+              .passed = backpressure.all_rejected_have_retry_after &&
+                        backpressure.rejected > 0 && backpressure_bounded &&
+                        backpressure.completed == backpressure.accepted});
+  checks.add({.name = "latency_no_failures",
+              .passed = latency.failed == 0 && latency.rejected == 0 &&
+                        latency.done == latency.jobs});
+  checks.print();
 
-  std::string json = "{\n  \"bench\": \"ubench_service\",\n";
-  json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  char buffer[512];
-  json += "  \"fairness\": {\n    \"lanes\": 1,\n";
-  std::snprintf(buffer, sizeof(buffer),
-                "    \"window\": %lld,\n    \"max_ratio\": %.4f,\n"
-                "    \"min_ratio\": %.4f,\n"
-                "    \"light_first_completion\": %llu,\n    \"tenants\": [",
-                static_cast<long long>(fairness.window), fairness.max_ratio,
-                fairness.min_ratio,
-                static_cast<unsigned long long>(
-                    fairness.light_first_completion));
-  json += buffer;
-  for (std::size_t i = 0; i < fairness.tenants.size(); ++i) {
-    const TenantShare& share = fairness.tenants[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "%s\n      {\"name\":\"%s\",\"weight\":%.1f,"
-                  "\"window_completions\":%lld,\"share\":%.4f,"
-                  "\"expected\":%.4f,\"ratio\":%.4f}",
-                  i == 0 ? "" : ",", share.name.c_str(), share.weight,
-                  static_cast<long long>(share.window_completions),
-                  share.share, share.expected, share.ratio);
-    json += buffer;
+  util::Json json(util::Json::Style::indented);
+  json.begin_object().fields("bench", "ubench_service", "smoke", smoke);
+  json.key("fairness").begin_object().fields(
+      "lanes", 1, "window", fairness.window,
+      "max_ratio", fairness.max_ratio, "min_ratio", fairness.min_ratio,
+      "light_first_completion", fairness.light_first_completion);
+  json.key("tenants").begin_array();
+  for (const TenantShare& share : fairness.tenants) {
+    json.object("name", share.name, "weight", share.weight,
+                "window_completions", share.window_completions,
+                "share", share.share, "expected", share.expected,
+                "ratio", share.ratio);
   }
-  json += "\n    ]\n  },\n";
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"burst\": {\"submitted\":%lld,"
-                "\"in_flight_high_water\":%d,\"queue_depth_high_water\":%d,"
-                "\"depth_limit\":%d,\"drain_seconds\":%.6f,"
-                "\"throughput_jobs_per_s\":%.1f,\"completed\":%lld},\n",
-                static_cast<long long>(burst.submitted),
-                burst.in_flight_high_water, burst.queue_depth_high_water,
-                burst.depth_limit, burst.drain_seconds,
-                burst.throughput_jobs_per_s,
-                static_cast<long long>(burst.completed));
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"backpressure\": {\"depth_limit\":%d,\"accepted\":%lld,"
-                "\"rejected\":%lld,\"min_retry_after_s\":%.9f,"
-                "\"queue_depth_high_water\":%d,\"completed\":%lld},\n",
-                backpressure.depth_limit,
-                static_cast<long long>(backpressure.accepted),
-                static_cast<long long>(backpressure.rejected),
-                backpressure.min_retry_after_s,
-                backpressure.queue_depth_high_water,
-                static_cast<long long>(backpressure.completed));
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"latency\": {\"jobs\":%lld,\"arrival_rate_hz\":%.0f,"
-                "\"p50_s\":%.6f,\"p99_s\":%.6f,\"makespan_s\":%.6f,"
-                "\"throughput_jobs_per_s\":%.1f,\"done\":%lld,"
-                "\"failed\":%lld,\"rejected\":%lld},\n",
-                static_cast<long long>(latency.jobs),
-                latency.arrival_rate_hz, latency.p50_s, latency.p99_s,
-                latency.makespan_s, latency.throughput_jobs_per_s,
-                static_cast<long long>(latency.done),
-                static_cast<long long>(latency.failed),
-                static_cast<long long>(latency.rejected));
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"checks\": {\"fair_share_within_1p25x\":%s,"
-                "\"light_tenant_not_starved\":%s,"
-                "\"burst_sustains_1000_in_flight\":%s,"
-                "\"queue_depth_bounded\":%s,"
-                "\"rejected_report_retry_after\":%s,"
-                "\"latency_no_failures\":%s}\n}\n",
-                checks_fair ? "true" : "false",
-                checks_light ? "true" : "false",
-                checks_burst ? "true" : "false",
-                (burst.depth_bounded && backpressure.depth_bounded)
-                    ? "true"
-                    : "false",
-                checks_backpressure ? "true" : "false",
-                checks_latency ? "true" : "false");
-  json += buffer;
-
-  std::ofstream out("BENCH_service.json");
-  out << json;
-  std::printf("wrote BENCH_service.json\n");
+  json.end_array().end_object();
+  json.key("burst").object(
+      "submitted", burst.submitted,
+      "in_flight_high_water", burst.in_flight_high_water,
+      "queue_depth_high_water", burst.queue_depth_high_water,
+      "depth_limit", burst.depth_limit,
+      "drain_seconds", burst.drain_seconds,
+      "throughput_jobs_per_s", burst.throughput_jobs_per_s,
+      "completed", burst.completed);
+  json.key("backpressure").object(
+      "depth_limit", backpressure.depth_limit,
+      "accepted", backpressure.accepted, "rejected", backpressure.rejected,
+      "min_retry_after_s", backpressure.min_retry_after_s,
+      "queue_depth_high_water", backpressure.queue_depth_high_water,
+      "completed", backpressure.completed);
+  json.key("latency").object(
+      "jobs", latency.jobs, "arrival_rate_hz", latency.arrival_rate_hz,
+      "p50_s", latency.p50_s, "p99_s", latency.p99_s,
+      "makespan_s", latency.makespan_s,
+      "throughput_jobs_per_s", latency.throughput_jobs_per_s,
+      "done", latency.done, "failed", latency.failed,
+      "rejected", latency.rejected);
+  json.key("checks").begin_object();
+  checks.write(json);
+  json.end_object().end_object();
+  bench::write_file("BENCH_service.json", json);
 
   // Every phase here is structural (gated queues, deterministic stride
-  // order), not timing-sensitive, so the exit guard re-uses the committed
-  // checks directly — except raw latency numbers, which only report.
-  if (!(checks_fair && checks_light && checks_burst && checks_backpressure &&
-        checks_latency)) {
-    std::fprintf(stderr, "service bench checks failed\n");
-    return 1;
-  }
-  return 0;
+  // order), not timing-sensitive, so the exit code follows the checks
+  // directly — raw latency numbers only report.
+  return checks.exit_code();
 }

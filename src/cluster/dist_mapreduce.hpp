@@ -244,7 +244,7 @@ class DistJob {
     mp::Buffer combined;
     if (my_rank == 0) {
       Writer writer;
-      writer.u32(static_cast<std::uint32_t>(gathered.size()));
+      writer.u32(wire_length(gathered.size()));
       for (const mp::Buffer& blob : gathered) {
         writer.blob(blob);
       }

@@ -3,21 +3,9 @@
 #include <iomanip>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace pblpar::cluster {
-
-namespace {
-
-void json_escape(std::ostream& os, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else {
-      os << c;
-    }
-  }
-}
-
-}  // namespace
 
 std::string ClusterProfile::event_log() const {
   std::ostringstream os;
@@ -88,54 +76,35 @@ std::string ClusterProfile::summary() const {
 }
 
 std::string ClusterProfile::to_json() const {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "{\"schema\":\"pblpar.cluster.v1\",\"stats\":{"
-     << "\"tasks\":" << stats.tasks << ",\"workers\":" << stats.workers
-     << ",\"attempts\":" << stats.attempts
-     << ",\"speculative_attempts\":" << stats.speculative_attempts
-     << ",\"requeues\":" << stats.requeues
-     << ",\"lost_results\":" << stats.lost_results
-     << ",\"dead_workers\":" << stats.dead_workers
-     << ",\"resurrections\":" << stats.resurrections
-     << ",\"heartbeats\":" << stats.heartbeats
-     << ",\"cancelled_tasks\":" << stats.cancelled_tasks
-     << ",\"checkpoints\":" << stats.checkpoints
-     << ",\"restored_tasks\":" << stats.restored_tasks
-     << ",\"completion_s\":" << stats.completion_s
-     << ",\"makespan_s\":" << stats.makespan_s << "},\"retry\":{"
-     << "\"data_sent\":" << retry.data_sent
-     << ",\"fire_and_forget_sent\":" << retry.fire_and_forget_sent
-     << ",\"retransmits\":" << retry.retransmits
-     << ",\"abandoned\":" << retry.abandoned
-     << ",\"acks_sent\":" << retry.acks_sent
-     << ",\"acks_received\":" << retry.acks_received
-     << ",\"duplicates_dropped\":" << retry.duplicates_dropped
-     << ",\"out_of_order_stashed\":" << retry.out_of_order_stashed
-     << "},\"wire\":{"
-     << "\"messages\":[";
-  for (std::size_t i = 0; i < wire_messages.size(); ++i) {
-    os << (i > 0 ? "," : "") << wire_messages[i];
+  util::Json json;
+  json.begin_object().field("schema", "pblpar.cluster.v1");
+  json.key("stats").object(
+      "tasks", stats.tasks, "workers", stats.workers,
+      "attempts", stats.attempts,
+      "speculative_attempts", stats.speculative_attempts,
+      "requeues", stats.requeues, "lost_results", stats.lost_results,
+      "dead_workers", stats.dead_workers,
+      "resurrections", stats.resurrections, "heartbeats", stats.heartbeats,
+      "cancelled_tasks", stats.cancelled_tasks,
+      "checkpoints", stats.checkpoints,
+      "restored_tasks", stats.restored_tasks,
+      "completion_s", stats.completion_s, "makespan_s", stats.makespan_s);
+  json.key("retry").object(
+      "data_sent", retry.data_sent,
+      "fire_and_forget_sent", retry.fire_and_forget_sent,
+      "retransmits", retry.retransmits, "abandoned", retry.abandoned,
+      "acks_sent", retry.acks_sent, "acks_received", retry.acks_received,
+      "duplicates_dropped", retry.duplicates_dropped,
+      "out_of_order_stashed", retry.out_of_order_stashed);
+  json.key("wire").begin_object();
+  json.key("messages").array(wire_messages).key("bytes").array(wire_bytes);
+  json.end_object().key("dead_workers").array(dead_workers);
+  json.key("events").begin_array();
+  for (const ClusterEvent& e : events) {
+    json.object("t_s", e.t_s, "worker", e.worker, "task", e.task,
+                "claim", e.claim, "kind", e.kind);
   }
-  os << "],\"bytes\":[";
-  for (std::size_t i = 0; i < wire_bytes.size(); ++i) {
-    os << (i > 0 ? "," : "") << wire_bytes[i];
-  }
-  os << "]},\"dead_workers\":[";
-  for (std::size_t i = 0; i < dead_workers.size(); ++i) {
-    os << (i > 0 ? "," : "") << dead_workers[i];
-  }
-  os << "],\"events\":[";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const ClusterEvent& e = events[i];
-    os << (i > 0 ? "," : "") << "{\"t_s\":" << e.t_s
-       << ",\"worker\":" << e.worker << ",\"task\":" << e.task
-       << ",\"claim\":" << e.claim << ",\"kind\":\"";
-    json_escape(os, e.kind);
-    os << "\"}";
-  }
-  os << "]}";
-  return os.str();
+  return json.end_array().end_object().str();
 }
 
 SimClusterRun run_sim_cluster(int nodes,

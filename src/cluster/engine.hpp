@@ -594,7 +594,7 @@ class Master {
     Writer writer;
     writer.u32(kCheckpointMagic);
     writer.u32(kCheckpointVersion);
-    writer.u32(static_cast<std::uint32_t>(tasks_.size()));
+    writer.u32(wire_length(tasks_.size()));
     writer.u32(static_cast<std::uint32_t>(done_count()));
     for (int t = 0; t < static_cast<int>(tasks_.size()); ++t) {
       const TaskState& ts = task_states_[static_cast<std::size_t>(t)];

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,17 @@ class WireError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// The u32 prefix for a length or count of `size`. Throws WireError when
+/// `size` does not fit, instead of writing a truncated prefix that would
+/// decode as a different, valid-looking field.
+inline std::uint32_t wire_length(std::size_t size) {
+  if (size > std::numeric_limits<std::uint32_t>::max()) {
+    throw WireError("cluster wire: length " + std::to_string(size) +
+                    " does not fit the u32 prefix");
+  }
+  return static_cast<std::uint32_t>(size);
+}
 
 /// Append-only byte buffer for building engine message payloads and
 /// shuffle blobs. The format is positional: the Reader must consume the
@@ -50,13 +62,13 @@ class Writer {
   void f64(double value) { trivial(value); }
 
   void str(const std::string& text) {
-    u32(static_cast<std::uint32_t>(text.size()));
+    u32(wire_length(text.size()));
     raw(text.data(), text.size());
   }
 
   /// Length-prefixed nested buffer.
   void blob(std::span<const std::byte> bytes) {
-    u32(static_cast<std::uint32_t>(bytes.size()));
+    u32(wire_length(bytes.size()));
     raw(bytes.data(), bytes.size());
   }
 
@@ -183,7 +195,7 @@ struct WireCodec<std::pair<A, B>> {
 template <class U>
 struct WireCodec<std::vector<U>> {
   static void write(Writer& writer, const std::vector<U>& values) {
-    writer.u32(static_cast<std::uint32_t>(values.size()));
+    writer.u32(wire_length(values.size()));
     for (const U& value : values) {
       WireCodec<U>::write(writer, value);
     }

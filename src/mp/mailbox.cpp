@@ -101,12 +101,14 @@ bool Mailbox::queue_nonempty() const {
 }
 
 void Mailbox::drain_to_pending() {
-  for (;;) {
+  // Drain only up to the head read on entry. Draining until the queue
+  // is empty would let senders that push without pause keep the consumer
+  // from ever getting back to its abort check, while pending_ grew
+  // without bound; later pushes wait for the next drain.
+  Node* const last = head_.load(std::memory_order_acquire);
+  while (tail_ != last) {
     Node* next = tail_->next.load(std::memory_order_acquire);
     if (next == nullptr) {
-      if (head_.load(std::memory_order_acquire) == tail_) {
-        return;  // fully drained
-      }
       // A sender is between its head_ exchange and its next link — two
       // instructions of its timeline. Yield (it may need our core) and
       // re-read.

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -61,7 +62,7 @@ class RunWriter {
       scratch_.clear();  // keeps the capacity: no allocation per record
       cluster::WireCodec<T>::write(scratch_, value);
       const std::span<const std::byte> bytes = scratch_.view();
-      const auto length = static_cast<std::uint32_t>(bytes.size());
+      const std::uint32_t length = cluster::wire_length(bytes.size());
       sink_->write(&length, sizeof(length));
       sink_->write(bytes.data(), bytes.size());
     }
@@ -104,10 +105,20 @@ class RunReader {
       if (got != sizeof(length)) {
         throw IoError("oocore: torn record header in a run file");
       }
-      scratch_.resize(length);
-      if (source_->read(scratch_.data(), length) != length) {
-        throw IoError("oocore: torn record payload in a run file");
-      }
+      // The length is untrusted until its bytes arrive, so the payload
+      // is read in steps: a torn header claiming gigabytes allocates
+      // about what the file holds, not what it claims. A record of at
+      // most one step — the common case — is one read.
+      std::size_t have = 0;
+      do {
+        const std::size_t step =
+            std::min<std::size_t>(length - have, kPayloadStepBytes);
+        scratch_.resize(have + step);
+        if (source_->read(scratch_.data() + have, step) != step) {
+          throw IoError("oocore: torn record payload in a run file");
+        }
+        have += step;
+      } while (have < length);
       cluster::Reader reader(scratch_);
       *out = cluster::WireCodec<T>::read(reader);
       if (!reader.done()) {
@@ -118,6 +129,8 @@ class RunReader {
   }
 
  private:
+  static constexpr std::size_t kPayloadStepBytes = std::size_t{64} << 10;
+
   Source* source_;
   std::vector<std::byte> scratch_;
 };

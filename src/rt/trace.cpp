@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <sstream>
 #include <thread>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace pblpar::rt {
 
@@ -664,150 +664,78 @@ std::string RunProfile::to_csv() const {
   return chunk_table(-1).to_csv();
 }
 
-namespace {
-
-void append_json_number(std::ostringstream& out, double value) {
-  if (!std::isfinite(value)) {
-    out << "null";
-    return;
-  }
-  out << value;
-}
-
-}  // namespace
-
 std::string RunProfile::to_json() const {
-  std::ostringstream out;
-  out.precision(12);
-  out << "{\"clock\":\"" << to_string(clock) << "\""
-      << ",\"num_threads\":" << num_threads << ",\"region_s\":";
-  append_json_number(out, region_s);
-  out << ",\"loops\":[";
-  for (std::size_t i = 0; i < loops.size(); ++i) {
-    const LoopInfo& info = loops[i];
-    out << (i ? "," : "") << "{\"id\":" << info.loop_id << ",\"schedule\":\""
-        << info.schedule << "\",\"total\":" << info.total << "}";
+  util::Json json;
+  json.begin_object().fields("clock", to_string(clock),
+                             "num_threads", num_threads,
+                             "region_s", region_s);
+  json.key("loops").begin_array();
+  for (const LoopInfo& l : loops) {
+    json.object("id", l.loop_id, "schedule", l.schedule, "total", l.total);
   }
-  out << "],\"chunks\":[";
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const ChunkEvent& chunk = chunks[i];
-    out << (i ? "," : "") << "{\"loop\":" << chunk.loop_id
-        << ",\"order\":" << chunk.claim_order << ",\"tid\":" << chunk.tid
-        << ",\"begin\":" << chunk.begin << ",\"end\":" << chunk.end
-        << ",\"start_s\":";
-    append_json_number(out, chunk.start_s);
-    out << ",\"end_s\":";
-    append_json_number(out, chunk.end_s);
-    out << "}";
+  json.end_array().key("chunks").begin_array();
+  for (const ChunkEvent& c : chunks) {
+    json.object("loop", c.loop_id, "order", c.claim_order, "tid", c.tid,
+                "begin", c.begin, "end", c.end,
+                "start_s", c.start_s, "end_s", c.end_s);
   }
-  out << "],\"steals\":[";
-  for (std::size_t i = 0; i < steals.size(); ++i) {
-    const StealEvent& steal = steals[i];
-    out << (i ? "," : "") << "{\"loop\":" << steal.loop_id
-        << ",\"order\":" << steal.claim_order
-        << ",\"thief\":" << steal.thief_tid
-        << ",\"victim\":" << steal.victim_tid
-        << ",\"begin\":" << steal.begin << ",\"end\":" << steal.end
-        << ",\"time_s\":";
-    append_json_number(out, steal.time_s);
-    out << "}";
+  json.end_array().key("steals").begin_array();
+  for (const StealEvent& s : steals) {
+    json.object("loop", s.loop_id, "order", s.claim_order,
+                "thief", s.thief_tid, "victim", s.victim_tid,
+                "begin", s.begin, "end", s.end, "time_s", s.time_s);
   }
-  out << "],\"barriers\":[";
-  for (std::size_t i = 0; i < barriers.size(); ++i) {
-    const BarrierEvent& barrier = barriers[i];
-    out << (i ? "," : "") << "{\"tid\":" << barrier.tid << ",\"arrive_s\":";
-    append_json_number(out, barrier.arrive_s);
-    out << ",\"release_s\":";
-    append_json_number(out, barrier.release_s);
-    out << "}";
+  json.end_array().key("barriers").begin_array();
+  for (const BarrierEvent& b : barriers) {
+    json.object("tid", b.tid, "arrive_s", b.arrive_s,
+                "release_s", b.release_s);
   }
-  out << "],\"criticals\":[";
-  for (std::size_t i = 0; i < criticals.size(); ++i) {
-    const CriticalEvent& critical = criticals[i];
-    out << (i ? "," : "") << "{\"tid\":" << critical.tid
-        << ",\"request_s\":";
-    append_json_number(out, critical.request_s);
-    out << ",\"acquire_s\":";
-    append_json_number(out, critical.acquire_s);
-    out << ",\"release_s\":";
-    append_json_number(out, critical.release_s);
-    out << "}";
+  json.end_array().key("criticals").begin_array();
+  for (const CriticalEvent& c : criticals) {
+    json.object("tid", c.tid, "request_s", c.request_s,
+                "acquire_s", c.acquire_s, "release_s", c.release_s);
   }
-  out << "],\"singles\":[";
-  for (std::size_t i = 0; i < singles.size(); ++i) {
-    out << (i ? "," : "") << "{\"id\":" << singles[i].single_id
-        << ",\"winner\":" << singles[i].winner_tid << "}";
+  json.end_array().key("singles").begin_array();
+  for (const SingleEvent& s : singles) {
+    json.object("id", s.single_id, "winner", s.winner_tid);
   }
-  out << "],\"cancels\":[";
-  for (std::size_t i = 0; i < cancels.size(); ++i) {
-    const CancelEvent& cancel = cancels[i];
-    out << (i ? "," : "") << "{\"tid\":" << cancel.tid << ",\"time_s\":";
-    append_json_number(out, cancel.time_s);
-    out << ",\"cause\":\"" << cancel.cause
-        << "\",\"completed_iterations\":" << cancel.completed_iterations
-        << "}";
+  json.end_array().key("cancels").begin_array();
+  for (const CancelEvent& c : cancels) {
+    json.object("tid", c.tid, "time_s", c.time_s, "cause", c.cause,
+                "completed_iterations", c.completed_iterations);
   }
-  out << "],\"injects\":[";
-  for (std::size_t i = 0; i < injects.size(); ++i) {
-    const InjectEvent& inject = injects[i];
-    out << (i ? "," : "") << "{\"tid\":" << inject.tid << ",\"time_s\":";
-    append_json_number(out, inject.time_s);
-    out << ",\"kind\":\"" << inject.kind << "\",\"delay_s\":";
-    append_json_number(out, inject.delay_s);
-    out << "}";
+  json.end_array().key("injects").begin_array();
+  for (const InjectEvent& i : injects) {
+    json.object("tid", i.tid, "time_s", i.time_s, "kind", i.kind,
+                "delay_s", i.delay_s);
   }
-  out << "],\"spills\":[";
-  for (std::size_t i = 0; i < spills.size(); ++i) {
-    const SpillEvent& spill = spills[i];
-    out << (i ? "," : "") << "{\"tid\":" << spill.tid << ",\"phase\":\""
-        << spill.phase << "\",\"records\":" << spill.records
-        << ",\"bytes\":" << spill.bytes << ",\"start_s\":";
-    append_json_number(out, spill.start_s);
-    out << ",\"end_s\":";
-    append_json_number(out, spill.end_s);
-    out << "}";
+  json.end_array().key("spills").begin_array();
+  for (const SpillEvent& s : spills) {
+    json.object("tid", s.tid, "phase", s.phase, "records", s.records,
+                "bytes", s.bytes, "start_s", s.start_s, "end_s", s.end_s);
   }
-  out << "],\"merges\":[";
-  for (std::size_t i = 0; i < merges.size(); ++i) {
-    const MergeEvent& merge = merges[i];
-    out << (i ? "," : "") << "{\"tid\":" << merge.tid
-        << ",\"fan_in\":" << merge.fan_in
-        << ",\"records\":" << merge.records << ",\"bytes\":" << merge.bytes
-        << ",\"start_s\":";
-    append_json_number(out, merge.start_s);
-    out << ",\"end_s\":";
-    append_json_number(out, merge.end_s);
-    out << "}";
+  json.end_array().key("merges").begin_array();
+  for (const MergeEvent& m : merges) {
+    json.object("tid", m.tid, "fan_in", m.fan_in, "records", m.records,
+                "bytes", m.bytes, "start_s", m.start_s, "end_s", m.end_s);
   }
-  out << "],\"per_thread\":[";
-  const std::vector<ThreadProfile> threads = per_thread();
-  for (std::size_t i = 0; i < threads.size(); ++i) {
-    const ThreadProfile& thread = threads[i];
-    out << (i ? "," : "") << "{\"tid\":" << thread.tid << ",\"work_s\":";
-    append_json_number(out, thread.work_s);
-    out << ",\"barrier_wait_s\":";
-    append_json_number(out, thread.barrier_wait_s);
-    out << ",\"critical_wait_s\":";
-    append_json_number(out, thread.critical_wait_s);
-    out << ",\"critical_hold_s\":";
-    append_json_number(out, thread.critical_hold_s);
-    out << ",\"iterations\":" << thread.iterations
-        << ",\"chunks\":" << thread.chunks
-        << ",\"steals\":" << thread.steals
-        << ",\"stolen_iterations\":" << thread.stolen_iterations
-        << ",\"barriers\":" << thread.barriers
-        << ",\"criticals\":" << thread.criticals
-        << ",\"singles_won\":" << thread.singles_won
-        << ",\"spills\":" << thread.spills
-        << ",\"spill_bytes\":" << thread.spill_bytes
-        << ",\"merges\":" << thread.merges << "}";
+  json.end_array().key("per_thread").begin_array();
+  for (const ThreadProfile& t : per_thread()) {
+    json.object("tid", t.tid, "work_s", t.work_s,
+                "barrier_wait_s", t.barrier_wait_s,
+                "critical_wait_s", t.critical_wait_s,
+                "critical_hold_s", t.critical_hold_s,
+                "iterations", t.iterations, "chunks", t.chunks,
+                "steals", t.steals, "stolen_iterations", t.stolen_iterations,
+                "barriers", t.barriers, "criticals", t.criticals,
+                "singles_won", t.singles_won, "spills", t.spills,
+                "spill_bytes", t.spill_bytes, "merges", t.merges);
   }
-  out << "],\"load_imbalance\":";
-  append_json_number(out, load_imbalance());
-  out << ",\"barrier_wait_fraction\":";
-  append_json_number(out, barrier_wait_fraction());
-  out << "}";
-  return out.str();
+  return json.end_array()
+      .fields("load_imbalance", load_imbalance(),
+              "barrier_wait_fraction", barrier_wait_fraction())
+      .end_object()
+      .str();
 }
 
 std::string RunProfile::summary() const {

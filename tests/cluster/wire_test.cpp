@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,6 +113,16 @@ TEST(WireTest, VectorCountWithinTheBufferButShortElementsThrows) {
   Reader reader(bytes);
   EXPECT_THROW((void)WireCodec<std::vector<std::uint64_t>>::read(reader),
                WireError);
+}
+
+TEST(WireTest, LengthsPastTheU32PrefixThrowInsteadOfTruncating) {
+  // Writer::str, Writer::blob, the vector codec and the oocore run
+  // writer all take their prefix from wire_length; 2^32 would have been
+  // written as 0.
+  EXPECT_EQ(wire_length(0), 0u);
+  EXPECT_EQ(wire_length(std::numeric_limits<std::uint32_t>::max()),
+            std::numeric_limits<std::uint32_t>::max());
+  EXPECT_THROW((void)wire_length(std::size_t{1} << 32), WireError);
 }
 
 }  // namespace

@@ -249,6 +249,36 @@ TEST_F(OocoreTest, RunWriterReaderRoundTripsWireRecords) {
   EXPECT_EQ(back, records);
 }
 
+/// SpillReader that remembers the largest single read asked of it.
+struct LargestReadSource {
+  SpillReader* inner;
+  std::size_t largest = 0;
+  std::size_t read(void* out, std::size_t count) {
+    largest = std::max(largest, count);
+    return inner->read(out, count);
+  }
+};
+
+TEST_F(OocoreTest, RunReaderRejectsATornHeaderWithoutTrustingIt) {
+  ScratchDir scratch("pblpar-test");
+  const fs::path path = scratch.next_path("torn");
+  {
+    SpillWriter sink(path, 4096);
+    const std::uint32_t claimed = 0x7FFFFFFF;
+    sink.write(&claimed, sizeof(claimed));
+    sink.write("abc", 3);
+    sink.close();
+  }
+  SpillReader file(path, 4096);
+  LargestReadSource source{&file};
+  RunReader<std::string, LargestReadSource> reader(source);
+  std::string record;
+  EXPECT_THROW(reader.pull(&record), IoError);
+  // The reader sized its buffer in steps as bytes arrived, never to the
+  // 2 GiB the header claimed.
+  EXPECT_LE(source.largest, std::size_t{1} << 20);
+}
+
 // --- LoserTree edge cases -------------------------------------------------
 
 /// Minimal pull-source over an in-memory vector.
