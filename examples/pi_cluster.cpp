@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "cluster/engine.hpp"
-#include "cluster/wire.hpp"
 #include "mp/sim_world.hpp"
+#include "util/wire.hpp"
 
 namespace {
 double curve(double x) { return 4.0 / (1.0 + x * x); }  // integral = pi
@@ -74,7 +74,7 @@ int main() {
   constexpr int kTasks = 12;
   std::vector<std::vector<std::byte>> tasks;
   for (int t = 0; t < kTasks; ++t) {
-    cluster::Writer writer;
+    util::Writer writer;
     writer.i64(t * kN / kTasks);        // [begin, end) trapezoid range
     writer.i64((t + 1) * kN / kTasks);
     tasks.push_back(std::move(writer).take());
@@ -82,7 +82,7 @@ int main() {
 
   const cluster::TaskFn slice_task =
       [](cluster::TaskContext& ctx, int, mp::ByteView in) {
-        cluster::Reader reader(in);
+        util::Reader reader(in);
         const std::int64_t begin = reader.i64();
         const std::int64_t end = reader.i64();
         const double h = 1.0 / static_cast<double>(kN);
@@ -95,7 +95,7 @@ int main() {
             ctx.progress();
           }
         }
-        cluster::Writer writer;
+        util::Writer writer;
         writer.f64(local);
         return std::move(writer).take();
       };
@@ -107,7 +107,7 @@ int main() {
 
   double pi = 0.0;
   for (const mp::Buffer& result : run.results) {
-    pi += cluster::Reader(result).f64();
+    pi += util::Reader(result).f64();
   }
   std::printf("  pi = %.8f (identical with and without the fault)\n\n",
               pi);

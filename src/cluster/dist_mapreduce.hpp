@@ -3,16 +3,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "cluster/engine.hpp"
-#include "cluster/wire.hpp"
-#include "mapreduce/fold_table.hpp"
-#include "mapreduce/job.hpp"  // Emitter
+#include "mapreduce/shuffle.hpp"
 #include "mp/buffer.hpp"
 #include "util/error.hpp"
+#include "util/wire.hpp"
 
 namespace pblpar::cluster {
 
@@ -25,10 +23,10 @@ namespace pblpar::cluster {
 /// SPMD: every rank calls run() with identical inputs (replicated input
 /// model — map tasks read their record range from the local copy, only
 /// intermediate pairs travel). Output is byte-identical to
-/// mapreduce::Job with threads(1): the shuffle concatenates map-task
-/// buckets in task order, so each key's value list is in input order,
-/// grouping uses the same std::map and the same std::hash partitioner,
-/// and the final sort uses the same comparator.
+/// mapreduce::Job with threads(1): map tasks fill the same
+/// mapreduce::PartitionSink, the shuffle concatenates map-task buckets in
+/// task order and stable-sorts them, so each key's value list is in input
+/// order, and mapreduce::reduce_sorted groups and reduces them.
 template <class K1, class V1, class K2, class V2, class VOut = V2>
 class DistJob {
  public:
@@ -138,7 +136,7 @@ class DistJob {
     const std::int64_t per_task = task_width(record_count, size);
     std::vector<std::vector<std::byte>> tasks;
     for (std::int64_t begin = 0; begin < record_count; begin += per_task) {
-      Writer writer;
+      util::Writer writer;
       writer.i64(begin);
       writer.i64(std::min(begin + per_task, record_count));
       tasks.push_back(writer.take());
@@ -195,7 +193,7 @@ class DistJob {
       for (const mp::Buffer& result : engine_result.results) {
         task_buckets.push_back(decode_map_result(result, reducers));
       }
-      std::vector<Writer> writers(static_cast<std::size_t>(size));
+      std::vector<util::Writer> writers(static_cast<std::size_t>(size));
       for (int p = 0; p < reducers; ++p) {
         const int owner =
             live[static_cast<std::size_t>(p) % live.size()];
@@ -204,8 +202,8 @@ class DistJob {
           const Bucket& bucket = buckets[static_cast<std::size_t>(p)];
           merged.insert(merged.end(), bucket.begin(), bucket.end());
         }
-        WireCodec<Bucket>::write(writers[static_cast<std::size_t>(owner)],
-                                 merged);
+        util::WireCodec<Bucket>::write(
+            writers[static_cast<std::size_t>(owner)], merged);
       }
       for (int r = 0; r < size; ++r) {
         rank_blobs[static_cast<std::size_t>(r)] =
@@ -217,34 +215,30 @@ class DistJob {
     // --- Reduce the partitions this rank owns.
     const int my_rank = comm.rank();
     std::vector<std::pair<K2, VOut>> my_output;
-    Reader reader(my_blob);
+    util::Reader reader(my_blob);
     for (int p = 0; p < reducers; ++p) {
       if (live[static_cast<std::size_t>(p) % live.size()] != my_rank) {
         continue;
       }
-      const Bucket bucket = WireCodec<Bucket>::read(reader);
-      std::map<K2, std::vector<V2>> grouped;
-      for (const auto& [key, value] : bucket) {
-        grouped[key].push_back(value);
-      }
+      Bucket bucket = util::WireCodec<Bucket>::read(reader);
+      std::stable_sort(bucket.begin(), bucket.end(), mapreduce::KeyLess{});
       Traits::charge_ops(comm, reduce_cost_ops_ *
                                    static_cast<double>(bucket.size()));
-      for (const auto& [key, values] : grouped) {
-        my_output.emplace_back(key, reduce_fn_(key, values));
-      }
+      mapreduce::BucketSource<std::pair<K2, V2>> source{&bucket};
+      mapreduce::reduce_sorted<V2>(source, reduce_fn_, my_output);
     }
 
     // --- Replicate the output: gather per-rank blobs, broadcast the
     // combined buffer, decode and sort by key on every rank.
-    Writer output_writer;
-    WireCodec<std::vector<std::pair<K2, VOut>>>::write(output_writer,
-                                                       my_output);
+    util::Writer output_writer;
+    util::WireCodec<std::vector<std::pair<K2, VOut>>>::write(output_writer,
+                                                             my_output);
     const std::vector<mp::Buffer> gathered =
         comm.gather_raw(mp::Buffer(output_writer.take()), 0);
     mp::Buffer combined;
     if (my_rank == 0) {
-      Writer writer;
-      writer.u32(wire_length(gathered.size()));
+      util::Writer writer;
+      writer.u32(util::wire_length(gathered.size()));
       for (const mp::Buffer& blob : gathered) {
         writer.blob(blob);
       }
@@ -253,17 +247,17 @@ class DistJob {
     comm.bcast_raw(combined, 0);
 
     std::vector<std::pair<K2, VOut>> output;
-    Reader combined_reader(combined);
+    util::Reader combined_reader(combined);
     const std::uint32_t rank_count = combined_reader.u32();
     for (std::uint32_t r = 0; r < rank_count; ++r) {
-      Reader blob_reader(combined_reader.blob_view());
+      util::Reader blob_reader(combined_reader.blob_view());
       std::vector<std::pair<K2, VOut>> part =
-          WireCodec<std::vector<std::pair<K2, VOut>>>::read(blob_reader);
+          util::WireCodec<std::vector<std::pair<K2, VOut>>>::read(
+              blob_reader);
       output.insert(output.end(), std::make_move_iterator(part.begin()),
                     std::make_move_iterator(part.end()));
     }
-    std::sort(output.begin(), output.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::sort(output.begin(), output.end(), mapreduce::KeyLess{});
     return output;
   }
 
@@ -279,21 +273,17 @@ class DistJob {
                                                                 target_tasks));
   }
 
-  /// One map task: map the record range, hash-partition the emitted
-  /// pairs (folding them per key when a combiner is set), and encode the
-  /// `reducers` buckets in partition order.
+  /// One map task: map the record range into a PartitionSink (which
+  /// folds per key when a combiner is set) and encode its `reducers`
+  /// buckets in partition order.
   std::vector<std::byte> map_task(
       TaskContext& ctx, mp::ByteView payload,
       const std::vector<std::pair<K1, V1>>& inputs, int reducers) const {
-    Reader reader(payload);
+    util::Reader reader(payload);
     const std::int64_t begin = reader.i64();
     const std::int64_t end = reader.i64();
 
-    using Table = mapreduce::FoldTable<K2, V2>;
-    std::vector<Bucket> buckets(static_cast<std::size_t>(reducers));
-    std::vector<Table> tables(
-        combine_fn_ != nullptr ? static_cast<std::size_t>(reducers) : 0,
-        Table(combine_fn_));
+    mapreduce::PartitionSink<K2, V2> sink(reducers, combine_fn_, false);
     mapreduce::Emitter<K2, V2> emitter;
     for (std::int64_t i = begin; i < end; ++i) {
       ctx.charge(map_cost_ops_);
@@ -301,35 +291,25 @@ class DistJob {
       const auto& [key, value] = inputs[static_cast<std::size_t>(i)];
       emitter.clear();
       map_fn_(key, value, emitter);
-      for (auto& [k2, v2] : emitter.pairs()) {
-        const std::size_t partition =
-            std::hash<K2>{}(k2) % static_cast<std::size_t>(reducers);
-        if (tables.empty()) {
-          buckets[partition].emplace_back(std::move(k2), std::move(v2));
-        } else {
-          tables[partition].add(std::move(k2), std::move(v2));
-        }
-      }
+      sink.add(emitter);
     }
-    for (std::size_t p = 0; p < tables.size(); ++p) {
-      tables[p].drain_sorted(buckets[p]);
-    }
+    sink.drain();
     ctx.progress();
 
-    Writer writer;
-    for (const Bucket& bucket : buckets) {
-      WireCodec<Bucket>::write(writer, bucket);
+    util::Writer writer;
+    for (const Bucket& bucket : sink.buckets()) {
+      util::WireCodec<Bucket>::write(writer, bucket);
     }
     return writer.take();
   }
 
   std::vector<Bucket> decode_map_result(const mp::Buffer& bytes,
                                         int reducers) const {
-    Reader reader(bytes);
+    util::Reader reader(bytes);
     std::vector<Bucket> buckets;
     buckets.reserve(static_cast<std::size_t>(reducers));
     for (int p = 0; p < reducers; ++p) {
-      buckets.push_back(WireCodec<Bucket>::read(reader));
+      buckets.push_back(util::WireCodec<Bucket>::read(reader));
     }
     return buckets;
   }

@@ -13,13 +13,13 @@
 
 #include "cluster/fault.hpp"
 #include "cluster/reliable.hpp"
-#include "cluster/wire.hpp"
 #include "mp/comm.hpp"
 #include "mp/sim_world.hpp"
 #include "rt/cancel.hpp"
 #include "rt/trace.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace pblpar::cluster {
 
@@ -42,7 +42,7 @@ class ClusterCancelled : public ClusterError {
 
 /// A serialized snapshot of the master's completed-task state: which
 /// tasks are done and their result bytes, encoded with the positional
-/// cluster wire format ([magic][version][task_count][done_count] then
+/// util wire format ([magic][version][task_count][done_count] then
 /// per completed task [task_id][result blob]). Produced periodically by
 /// a master with checkpointing armed; feed it back through
 /// ClusterOptions::restart_from (or restart_from_checkpoint) to resume a
@@ -57,7 +57,7 @@ struct ClusterCheckpoint {
     if (bytes.empty()) {
       return 0;
     }
-    Reader reader(bytes);
+    util::Reader reader(bytes);
     reader.u32();  // magic, validated on restore
     reader.u32();  // version
     return static_cast<int>(reader.u32());
@@ -67,7 +67,7 @@ struct ClusterCheckpoint {
     if (bytes.empty()) {
       return 0;
     }
-    Reader reader(bytes);
+    util::Reader reader(bytes);
     reader.u32();
     reader.u32();
     reader.u32();
@@ -189,7 +189,7 @@ struct ClusterOptions {
     if (restart_from != nullptr && !restart_from->empty()) {
       util::require(restart_from->bytes.size() >= 4 * sizeof(std::uint32_t),
                     "ClusterOptions: restart_from checkpoint is truncated");
-      Reader reader(restart_from->bytes);
+      util::Reader reader(restart_from->bytes);
       util::require(reader.u32() == detail::kCheckpointMagic,
                     "ClusterOptions: restart_from is not a cluster "
                     "checkpoint (bad magic)");
@@ -373,7 +373,7 @@ void send_request(CommT& comm) {
 
 template <class CommT>
 void send_heartbeat(CommT& comm, int task_id, std::uint64_t claim) {
-  Writer writer;
+  util::Writer writer;
   writer.i32(task_id);
   writer.u64(claim);
   // Heartbeats are periodic liveness hints: a lost one is replaced by
@@ -394,7 +394,7 @@ void send_heartbeat(CommT& comm, int task_id, std::uint64_t claim) {
 template <class CommT>
 void send_done(CommT& comm, int task_id, std::uint64_t claim,
                const std::vector<std::byte>& result) {
-  Writer writer;
+  util::Writer writer;
   writer.i32(task_id);
   writer.u64(claim);
   writer.blob(result);
@@ -404,7 +404,7 @@ void send_done(CommT& comm, int task_id, std::uint64_t claim,
 template <class CommT>
 void send_assign(CommT& comm, int worker, int task_id, std::uint64_t claim,
                  const std::vector<std::byte>& payload) {
-  Writer writer;
+  util::Writer writer;
   writer.i32(task_id);
   writer.u64(claim);
   writer.blob(payload);
@@ -426,7 +426,7 @@ struct TaskHeader {
   std::uint64_t claim = 0;
 };
 
-inline TaskHeader parse_header(Reader& reader) {
+inline TaskHeader parse_header(util::Reader& reader) {
   TaskHeader header;
   header.task_id = reader.i32();
   header.claim = reader.u64();
@@ -556,7 +556,7 @@ class Master {
     if (options_.restart_from == nullptr || options_.restart_from->empty()) {
       return;
     }
-    Reader reader(options_.restart_from->bytes);
+    util::Reader reader(options_.restart_from->bytes);
     util::require(reader.u32() == kCheckpointMagic,
                   "cluster master: restart_from is not a checkpoint");
     util::require(reader.u32() == kCheckpointVersion,
@@ -591,10 +591,10 @@ class Master {
   }
 
   ClusterCheckpoint make_checkpoint() const {
-    Writer writer;
+    util::Writer writer;
     writer.u32(kCheckpointMagic);
     writer.u32(kCheckpointVersion);
-    writer.u32(wire_length(tasks_.size()));
+    writer.u32(util::wire_length(tasks_.size()));
     writer.u32(static_cast<std::uint32_t>(done_count()));
     for (int t = 0; t < static_cast<int>(tasks_.size()); ++t) {
       const TaskState& ts = task_states_[static_cast<std::size_t>(t)];
@@ -777,7 +777,7 @@ class Master {
         break;
       }
       case kTagDone: {
-        Reader reader(msg.payload);
+        util::Reader reader(msg.payload);
         const TaskHeader header = parse_header(reader);
         // Keep the result as a zero-copy slice of the Done message.
         const std::uint32_t result_len = reader.u32();
@@ -808,7 +808,7 @@ class Master {
         break;
       }
       case kTagHeartbeat: {
-        Reader reader(msg.payload);
+        util::Reader reader(msg.payload);
         const TaskHeader header = parse_header(reader);
         ++stats_.heartbeats;
         event(now, w, header.task_id, header.claim, "heartbeat");
@@ -1132,7 +1132,7 @@ bool run_worker(CommT& comm, const TaskFn& task_fn,
       }
       util::ensure(msg.tag == detail::kTagAssign,
                    "cluster worker: unexpected tag from master");
-      Reader reader(msg.payload);
+      util::Reader reader(msg.payload);
       const detail::TaskHeader header = detail::parse_header(reader);
       // Zero-copy: the task body reads the payload straight out of the
       // assignment message (msg stays alive across the call).

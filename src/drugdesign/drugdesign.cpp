@@ -4,11 +4,11 @@
 #include <cmath>
 
 #include "cluster/engine.hpp"
-#include "cluster/wire.hpp"
 #include "mapreduce/job.hpp"
 #include "rt/parallel.hpp"
 #include "sim/machine.hpp"
 #include "util/error.hpp"
+#include "util/wire.hpp"
 
 #include <chrono>
 
@@ -259,14 +259,14 @@ Result solve_cluster(const Config& config, int nodes,
   std::vector<std::vector<std::byte>> tasks;
   tasks.reserve(workload.ligands.size());
   for (std::size_t i = 0; i < workload.ligands.size(); ++i) {
-    cluster::Writer writer;
+    util::Writer writer;
     writer.i32(static_cast<std::int32_t>(i));
     tasks.push_back(writer.take());
   }
 
   const cluster::TaskFn task_fn =
       [&workload](cluster::TaskContext& ctx, int, mp::ByteView payload) {
-        cluster::Reader reader(payload);
+        util::Reader reader(payload);
         const auto index = static_cast<std::size_t>(reader.i32());
         const std::string& ligand = workload.ligands[index];
         const int score = match_score(ligand, workload.protein);
@@ -277,7 +277,7 @@ Result solve_cluster(const Config& config, int nodes,
           ctx.charge(total_ops / kSlices);
           ctx.progress();
         }
-        cluster::Writer writer;
+        util::Writer writer;
         writer.i32(score);
         return writer.take();
       };
@@ -289,7 +289,7 @@ Result solve_cluster(const Config& config, int nodes,
 
   std::vector<int> scores = score_all_expected_size(config);
   for (std::size_t i = 0; i < run.results.size(); ++i) {
-    cluster::Reader reader(run.results[i]);
+    util::Reader reader(run.results[i]);
     scores[i] = reader.i32();
   }
 

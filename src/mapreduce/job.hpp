@@ -12,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "mapreduce/fold_table.hpp"
+#include "mapreduce/shuffle.hpp"
 #include "oocore/io.hpp"
 #include "oocore/merge.hpp"
 #include "oocore/scratch.hpp"
@@ -52,25 +52,6 @@ struct RunReport {
   // records land here alongside the usual chunk timeline).
   std::shared_ptr<const rt::RunProfile> map_profile;
   std::shared_ptr<const rt::RunProfile> reduce_profile;
-};
-
-/// Collects the (key, value) pairs a mapper emits. Workers reuse one
-/// Emitter across records (clear() keeps the capacity), so steady-state
-/// mapping does not allocate per record.
-template <class K, class V>
-class Emitter {
- public:
-  void emit(K key, V value) {
-    pairs_.emplace_back(std::move(key), std::move(value));
-  }
-
-  /// Drop the collected pairs but keep the buffer's capacity.
-  void clear() { pairs_.clear(); }
-
-  std::vector<std::pair<K, V>>& pairs() { return pairs_; }
-
- private:
-  std::vector<std::pair<K, V>> pairs_;
 };
 
 /// An in-memory, multi-threaded MapReduce job, after the model in the
@@ -129,8 +110,8 @@ class Job {
   /// Cap the shuffle's in-memory working set: once the map phase's
   /// buffered output exceeds `bytes` across all workers (each worker
   /// tracks budget/threads of it), every worker spills its sorted
-  /// buckets to scratch run files and the reduce phase streams a k-way
-  /// merge over runs + leftovers instead of flattening in memory. Without
+  /// buckets to scratch run files, and the reduce phase's k-way merge
+  /// reads those runs ahead of each worker's leftover bucket. Without
   /// a combiner the budget counts every emitted (key, value) pair; with
   /// one it counts the distinct keys of the fold tables, each entry's
   /// payload plus FoldTable::kEntryOverheadBytes of node overhead. Output
@@ -221,28 +202,17 @@ class Job {
         num_threads_ > 0 ? num_threads_ : rt::hardware_threads();
     const int reducers = num_reducers_ > 0 ? num_reducers_ : threads;
 
-    // --- Map phase: each worker fills its own per-partition buckets, so
-    // there is no shared mutable state across threads (CP.3). Records are
-    // dealt by work stealing: expensive records (long documents, heavy
-    // parses) stop being a tail-latency problem because idle workers
-    // migrate the remaining chunks. With a combiner, emissions fold into
-    // per-partition tables instead and reach the buckets key-sorted, one
-    // entry per key, when the tables drain (spill, end of map, salvage).
-    using Bucket = std::vector<std::pair<K2, V2>>;
-    using Table = FoldTable<K2, V2>;
-    std::vector<std::vector<Bucket>> worker_buckets(
-        static_cast<std::size_t>(threads),
-        std::vector<Bucket>(static_cast<std::size_t>(reducers)));
-    const bool folding = combine_fn_ != nullptr;
-    std::vector<std::vector<Table>> worker_tables(
-        static_cast<std::size_t>(threads),
-        std::vector<Table>(folding ? static_cast<std::size_t>(reducers) : 0,
-                           Table(combine_fn_)));
-    const auto drain_tables = [&](std::size_t worker) {
-      for (std::size_t p = 0; p < worker_tables[worker].size(); ++p) {
-        worker_tables[worker][p].drain_sorted(worker_buckets[worker][p]);
-      }
-    };
+    // --- Map phase: each worker fills its own PartitionSink, so there is
+    // no shared mutable state across threads (CP.3). Records are dealt by
+    // work stealing: expensive records (long documents, heavy parses)
+    // stop being a tail-latency problem because idle workers migrate the
+    // remaining chunks. With a combiner, emissions fold into the sink's
+    // per-partition tables and reach its buckets key-sorted, one entry
+    // per key, when the tables drain (spill, end of map, salvage).
+    using Sink = PartitionSink<K2, V2>;
+    const bool spilling = shuffle_budget_bytes_ > 0;
+    std::vector<Sink> sinks(static_cast<std::size_t>(threads),
+                            Sink(reducers, combine_fn_, spilling));
 
     // Both phases (and every job this process runs after this one) share
     // the persistent host worker pool: warming it here moves one-time
@@ -263,20 +233,18 @@ class Job {
     // Spillable-shuffle state. The ScratchDir guard owns every run file
     // this job writes: normal return, a thrown rt::Cancelled (Abort) and
     // any I/O error all unwind through it, so a cancel drain never strands
-    // spill files on disk.
-    const bool spilling = shuffle_budget_bytes_ > 0;
+    // spill files on disk. An in-memory job writes no runs.
     const std::int64_t worker_budget =
         spilling ? std::max<std::int64_t>(shuffle_budget_bytes_ / threads, 1)
                  : 0;
     std::optional<oocore::ScratchDir> scratch;
-    std::vector<std::vector<std::vector<ShuffleRun>>> worker_runs;
     if (spilling) {
       scratch.emplace("pblpar-shuffle");
-      worker_runs.assign(
-          static_cast<std::size_t>(threads),
-          std::vector<std::vector<ShuffleRun>>(
-              static_cast<std::size_t>(reducers)));
     }
+    std::vector<std::vector<std::vector<ShuffleRun>>> worker_runs(
+        static_cast<std::size_t>(threads),
+        std::vector<std::vector<ShuffleRun>>(
+            static_cast<std::size_t>(reducers)));
     std::atomic<std::int64_t> spilled_runs{0};
     std::atomic<std::int64_t> spilled_bytes{0};
 
@@ -287,54 +255,46 @@ class Job {
       rt::RunResult mapped = rt::parallel(map_config, [&](rt::TeamContext&
                                                               tc) {
         const auto tid = static_cast<std::size_t>(tc.thread_num());
-        auto& buckets = worker_buckets[tid];
+        Sink& sink = sinks[tid];
         Emitter<K2, V2> emitter;  // reused: clear() keeps the capacity
         // When a budget is armed or the tables fold, the first-record
         // reserve() is skipped: its estimate assumes the whole input's
         // emissions stay resident as raw pairs.
-        bool reserved = spilling || folding;
+        bool reserved = spilling || sink.folding();
         std::int64_t buffered_bytes = 0;
         std::uint64_t spill_seq = 0;
         const std::uint64_t worker_salt = static_cast<std::uint64_t>(tid)
                                           << 32;
 
-        // Spill every non-empty bucket (or drained fold table) as one
-        // sorted run file per partition, then reset the byte
-        // account. Each run is individually key-stable-sorted, and runs
-        // are replayed in (worker, spill order, leftover-last) order at
-        // reduce time — concatenating them reproduces this worker's
-        // emission order, which is what makes the merged shuffle
-        // byte-identical to the in-memory flatten-then-stable_sort.
+        // Spill every non-empty bucket as one sorted run file per
+        // partition, then reset the byte account. Runs are replayed in
+        // (worker, spill order, leftover-last) order at reduce time —
+        // concatenating them reproduces this worker's emission order,
+        // which is what makes the merged shuffle byte-identical whatever
+        // the budget.
         const auto spill_worker = [&]() {
           const double start_s = tc.trace_now();
           std::int64_t batch_runs = 0;
           std::int64_t batch_records = 0;
           std::int64_t batch_bytes = 0;
-          drain_tables(tid);
-          for (std::size_t p = 0; p < buckets.size(); ++p) {
-            auto& bucket = buckets[p];
+          sink.drain();
+          for (std::size_t p = 0; p < sink.buckets().size(); ++p) {
+            auto& bucket = sink.sorted(p);
             if (bucket.empty()) {
               continue;
             }
-            if (!folding) {
-              std::stable_sort(bucket.begin(), bucket.end(),
-                               [](const auto& a, const auto& b) {
-                                 return a.first < b.first;
-                               });
-            }
             ShuffleRun run;
             run.path = scratch->next_path("shuffle");
-            oocore::SpillWriter sink(run.path, kSpillBufferBytes, io_chaos_,
+            oocore::SpillWriter file(run.path, kSpillBufferBytes, io_chaos_,
                                      worker_salt + spill_seq);
-            oocore::RunWriter<std::pair<K2, V2>> writer(sink);
+            oocore::RunWriter<std::pair<K2, V2>> writer(file);
             for (const auto& pair : bucket) {
               writer.push(pair);
             }
-            sink.close();
-            run.records = writer.records();
-            run.bytes = sink.bytes_written();
+            file.close();
+            run.bytes = file.bytes_written();
             batch_runs += 1;
-            batch_records += run.records;
+            batch_records += writer.records();
             batch_bytes += run.bytes;
             worker_runs[tid][p].push_back(std::move(run));
             ++spill_seq;
@@ -366,45 +326,31 @@ class Job {
                          1) /
                         static_cast<std::size_t>(reducers) +
                     1;
-                for (auto& bucket : buckets) {
+                for (auto& bucket : sink.buckets()) {
                   bucket.reserve(estimate);
                 }
               }
-              for (auto& [k2, v2] : emitter.pairs()) {
-                const std::size_t partition =
-                    std::hash<K2>{}(k2) % static_cast<std::size_t>(reducers);
-                if (folding) {
-                  buffered_bytes += worker_tables[tid][partition].add(
-                      std::move(k2), std::move(v2));
-                  continue;
-                }
-                if (spilling) {
-                  buffered_bytes += static_cast<std::int64_t>(
-                      oocore::approx_bytes(k2) + oocore::approx_bytes(v2));
-                }
-                buckets[partition].emplace_back(std::move(k2), std::move(v2));
-              }
+              buffered_bytes += sink.add(emitter);
               // Checked per record, not per pair: the budget overshoot is
               // bounded by a single record's emissions.
               if (spilling && buffered_bytes >= worker_budget) {
                 spill_worker();
               }
             });
-        drain_tables(tid);
+        sink.drain();
       });
       map_profile = mapped.profile;
     } catch (const rt::Cancelled& cancelled) {
       if (deadline_policy_ == DeadlinePolicy::Abort) {
         throw;  // ~ScratchDir drops any runs spilled before the cut
       }
-      // Salvage: each record's emissions land in the buckets or fold
-      // tables within its own iteration and members only stop at chunk
-      // boundaries, so they hold exactly the completed records — never a
-      // torn one. Draining the tables (a no-op for those a worker
-      // already drained) puts every kept record into the leftover
-      // buckets.
-      for (std::size_t w = 0; w < worker_tables.size(); ++w) {
-        drain_tables(w);
+      // Salvage: each record's emissions land in its worker's sink within
+      // its own iteration and members only stop at chunk boundaries, so
+      // the sinks hold exactly the completed records — never a torn one.
+      // Draining (a no-op for a sink its worker already drained) puts
+      // every kept record into the leftover buckets.
+      for (Sink& sink : sinks) {
+        sink.drain();
       }
       deadline_hit = true;
       mapped_records = cancelled.total_completed();
@@ -439,12 +385,9 @@ class Job {
       rt::for_loop(
           tc, rt::Range::upto(reducers), rt::Schedule::dynamic(1),
           [&](std::int64_t p) {
-            partition_outputs[static_cast<std::size_t>(p)] =
-                spilling ? reduce_partition_spilled(
-                               tc, worker_buckets, worker_runs,
-                               static_cast<std::size_t>(p), worker_budget)
-                         : reduce_partition(worker_buckets,
-                                            static_cast<std::size_t>(p));
+            partition_outputs[static_cast<std::size_t>(p)] = merge_partition(
+                tc, sinks, worker_runs, static_cast<std::size_t>(p),
+                worker_budget);
           });
     });
 
@@ -466,7 +409,7 @@ class Job {
             std::make_move_iterator(left.end()),
             std::make_move_iterator(right.begin()),
             std::make_move_iterator(right.end()), std::back_inserter(merged),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            KeyLess{});
         next.push_back(std::move(merged));
       }
       if (partition_outputs.size() % 2 == 1) {
@@ -487,103 +430,42 @@ class Job {
   }
 
  private:
-  using BucketT = std::vector<std::pair<K2, V2>>;
-
   /// One spilled shuffle run: a key-stable-sorted slice of a single
   /// worker's output for a single partition.
   struct ShuffleRun {
     std::filesystem::path path;
-    std::int64_t records = 0;
     std::int64_t bytes = 0;
   };
 
   /// Buffered-I/O block size for spill writes. Reads derive theirs from
-  /// the worker budget and fan-in in reduce_partition_spilled.
+  /// the worker budget and fan-in in merge_partition.
   static constexpr std::size_t kSpillBufferBytes = std::size_t{128} << 10;
 
-  /// Sort-then-run-length grouping over a flat pair vector: the
-  /// reducer's shuffle core. stable_sort keeps equal keys in emission
-  /// order, so each key's value list is byte-identical to what the old
-  /// std::map<K2, std::vector<V2>> grouping produced, without one node
-  /// allocation per key.
-  template <class Fn, class Out>
-  static void group_and_apply(std::vector<std::pair<K2, V2>>& flat,
-                              const Fn& fn, std::vector<Out>& out) {
-    std::stable_sort(
-        flat.begin(), flat.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<V2> values;
-    std::size_t i = 0;
-    while (i < flat.size()) {
-      std::size_t j = i;
-      values.clear();
-      while (j < flat.size() && !(flat[i].first < flat[j].first)) {
-        values.push_back(std::move(flat[j].second));
-        ++j;
-      }
-      auto result = fn(flat[i].first, values);
-      out.emplace_back(std::move(flat[i].first), std::move(result));
-      i = j;
-    }
-  }
-
-  std::vector<std::pair<K2, VOut>> reduce_partition(
-      std::vector<std::vector<BucketT>>& worker_buckets,
-      std::size_t partition) const {
-    // Flatten this partition's slice of every worker's output in worker
-    // order — the same scan order the map-based shuffle grouped in.
-    std::vector<std::pair<K2, V2>> flat;
-    std::size_t total = 0;
-    for (const auto& buckets : worker_buckets) {
-      total += buckets[partition].size();
-    }
-    flat.reserve(total);
-    for (auto& buckets : worker_buckets) {
-      flat.insert(flat.end(),
-                  std::make_move_iterator(buckets[partition].begin()),
-                  std::make_move_iterator(buckets[partition].end()));
-    }
-    std::vector<std::pair<K2, VOut>> reduced;
-    group_and_apply(flat, reduce_fn_, reduced);
-    return reduced;
-  }
-
-  /// Spill-aware reduce of one partition: a loser-tree merge over this
-  /// partition's run files (in worker order, then each worker's spill
-  /// order) plus each worker's in-memory leftover bucket as the worker's
-  /// final source. Every source is individually key-stable-sorted and the
-  /// tree breaks ties by lower source index, so the merged stream equals
-  /// a stable_sort of the worker-order concatenation — i.e. exactly what
-  /// reduce_partition's flatten + group_and_apply sees, record for
-  /// record. The grouping below is group_and_apply's run-length loop in
-  /// streaming form, so the reduced output is byte-identical.
-  std::vector<std::pair<K2, VOut>> reduce_partition_spilled(
-      rt::TeamContext& tc, std::vector<std::vector<BucketT>>& worker_buckets,
+  /// Reduce one partition: a loser-tree merge over its run files (in
+  /// worker order, then each worker's spill order) plus each worker's
+  /// leftover bucket as that worker's last source, fed to reduce_sorted.
+  /// An in-memory job is the same merge with zero run files. Every source
+  /// is key-stable-sorted and the tree breaks ties by lower source index,
+  /// so the merged stream is a stable_sort of the worker-order
+  /// concatenation — each key's values arrive in worker scan order, and
+  /// the output is byte-identical whatever the budget.
+  std::vector<std::pair<K2, VOut>> merge_partition(
+      rt::TeamContext& tc, std::vector<PartitionSink<K2, V2>>& sinks,
       const std::vector<std::vector<std::vector<ShuffleRun>>>& worker_runs,
       std::size_t partition, std::int64_t worker_budget) const {
     using P = std::pair<K2, V2>;
-    struct PairSource {
-      virtual ~PairSource() = default;
-      virtual bool pull(P* out) = 0;
-    };
-    struct FileSource final : PairSource {
+    struct RunFile {
       oocore::SpillReader bytes;
       oocore::RunReader<P> records;
-      FileSource(const std::filesystem::path& path, std::size_t buffer_bytes,
-                 const oocore::IoChaos& chaos, std::uint64_t salt)
+      RunFile(const std::filesystem::path& path, std::size_t buffer_bytes,
+              const oocore::IoChaos& chaos, std::uint64_t salt)
           : bytes(path, buffer_bytes, chaos, salt), records(bytes) {}
-      bool pull(P* out) override { return records.pull(out); }
     };
-    struct VecSource final : PairSource {
-      BucketT* vec;
-      std::size_t i = 0;
-      explicit VecSource(BucketT* v) : vec(v) {}
-      bool pull(P* out) override {
-        if (i >= vec->size()) {
-          return false;
-        }
-        *out = std::move((*vec)[i++]);
-        return true;
+    struct Source {
+      std::unique_ptr<RunFile> file;  // null: a worker's leftover bucket
+      BucketSource<P> leftover;
+      bool pull(P* out) {
+        return file != nullptr ? file->records.pull(out) : leftover.pull(out);
       }
     };
 
@@ -599,53 +481,32 @@ class Job {
         std::size_t{4} << 10, std::size_t{128} << 10);
 
     const double start_s = tc.trace_now();
-    std::vector<std::unique_ptr<PairSource>> sources;
+    std::vector<Source> sources;
+    sources.reserve(file_count + sinks.size());
     std::int64_t in_bytes = 0;
     std::uint64_t salt = partition << 16;
-    for (std::size_t w = 0; w < worker_runs.size(); ++w) {
+    for (std::size_t w = 0; w < sinks.size(); ++w) {
       for (const ShuffleRun& run : worker_runs[w][partition]) {
-        sources.push_back(std::make_unique<FileSource>(
-            run.path, buffer_bytes, io_chaos_, salt++));
+        sources.push_back({std::make_unique<RunFile>(run.path, buffer_bytes,
+                                                     io_chaos_, salt++),
+                           {}});
         in_bytes += run.bytes;
       }
-      BucketT& leftover = worker_buckets[w][partition];
-      // Leftovers are unsorted without a combiner: stable_sort puts each
-      // on the same footing as a spilled run.
-      std::stable_sort(
-          leftover.begin(), leftover.end(),
-          [](const auto& a, const auto& b) { return a.first < b.first; });
+      std::vector<P>& leftover = sinks[w].sorted(partition);
       if (!leftover.empty()) {
-        sources.push_back(std::make_unique<VecSource>(&leftover));
+        sources.push_back({nullptr, {&leftover}});
       }
     }
-    std::vector<PairSource*> source_ptrs;
+    std::vector<Source*> source_ptrs;
     source_ptrs.reserve(sources.size());
-    for (const auto& source : sources) {
-      source_ptrs.push_back(source.get());
+    for (Source& source : sources) {
+      source_ptrs.push_back(&source);
     }
-    const auto key_less = [](const P& a, const P& b) {
-      return a.first < b.first;
-    };
-    oocore::LoserTree<P, PairSource, decltype(key_less)> tree(
-        std::move(source_ptrs), key_less);
+    oocore::LoserTree<P, Source, KeyLess> tree(std::move(source_ptrs));
 
     std::vector<std::pair<K2, VOut>> reduced;
-    std::vector<V2> values;
-    std::int64_t merged_records = 0;
-    P record;
-    bool have = tree.pop(&record);
-    while (have) {
-      ++merged_records;
-      K2 key = std::move(record.first);
-      values.clear();
-      values.push_back(std::move(record.second));
-      while ((have = tree.pop(&record)) && !(key < record.first)) {
-        ++merged_records;
-        values.push_back(std::move(record.second));
-      }
-      auto result = reduce_fn_(key, values);
-      reduced.emplace_back(std::move(key), std::move(result));
-    }
+    const std::int64_t merged_records =
+        reduce_sorted<V2>(tree, reduce_fn_, reduced);
     if (file_count > 0) {
       if (rt::TraceRecorder* tracer = tc.tracer()) {
         tracer->record_merge(tc.thread_num(),

@@ -72,6 +72,9 @@ class LoserTree {
     return true;
   }
 
+  /// A merge is itself a source: pop() under the name sources use.
+  bool pull(T* out) { return pop(out); }
+
   int fan_in() const { return k_; }
 
  private:

@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/wire.hpp"
 #include "oocore/io.hpp"
+#include "util/wire.hpp"
 
 namespace pblpar::oocore {
 
@@ -47,7 +47,7 @@ inline std::size_t approx_bytes(const std::pair<A, B>& value) {
 
 /// Record-stream writer over a SpillWriter. Trivially-copyable records go
 /// down raw (fixed-size, no framing); everything else is length-prefixed
-/// cluster wire (the same byte-deterministic codec the distributed
+/// util wire (the same byte-deterministic codec the distributed
 /// MapReduce driver ships shuffle blobs with), so a run file's bytes are
 /// a pure function of the record sequence.
 template <class T>
@@ -60,9 +60,9 @@ class RunWriter {
       sink_->write(&value, sizeof(T));
     } else {
       scratch_.clear();  // keeps the capacity: no allocation per record
-      cluster::WireCodec<T>::write(scratch_, value);
+      util::WireCodec<T>::write(scratch_, value);
       const std::span<const std::byte> bytes = scratch_.view();
-      const std::uint32_t length = cluster::wire_length(bytes.size());
+      const std::uint32_t length = util::wire_length(bytes.size());
       sink_->write(&length, sizeof(length));
       sink_->write(bytes.data(), bytes.size());
     }
@@ -73,7 +73,7 @@ class RunWriter {
 
  private:
   SpillWriter* sink_;
-  cluster::Writer scratch_;
+  util::Writer scratch_;
   std::int64_t records_ = 0;
 };
 
@@ -119,8 +119,8 @@ class RunReader {
         }
         have += step;
       } while (have < length);
-      cluster::Reader reader(scratch_);
-      *out = cluster::WireCodec<T>::read(reader);
+      util::Reader reader(scratch_);
+      *out = util::WireCodec<T>::read(reader);
       if (!reader.done()) {
         throw IoError("oocore: trailing bytes inside a run record");
       }

@@ -15,6 +15,7 @@
 #include "mp/sim_world.hpp"
 #include "rt/cancel.hpp"
 #include "util/error.hpp"
+#include "util/wire.hpp"
 
 namespace pblpar::cluster {
 namespace {
@@ -22,7 +23,7 @@ namespace {
 std::vector<std::vector<std::byte>> index_tasks(int count) {
   std::vector<std::vector<std::byte>> tasks;
   for (int i = 0; i < count; ++i) {
-    Writer writer;
+    util::Writer writer;
     writer.i32(i);
     tasks.push_back(writer.take());
   }
@@ -31,13 +32,13 @@ std::vector<std::vector<std::byte>> index_tasks(int count) {
 
 TaskFn square_task(double ops_per_task) {
   return [ops_per_task](TaskContext& ctx, int, mp::ByteView payload) {
-    Reader reader(payload);
+    util::Reader reader(payload);
     const std::int32_t value = reader.i32();
     for (int s = 0; s < 4; ++s) {
       ctx.charge(ops_per_task / 4);
       ctx.progress();
     }
-    Writer writer;
+    util::Writer writer;
     writer.i32(value * value);
     return writer.take();
   };
@@ -45,7 +46,7 @@ TaskFn square_task(double ops_per_task) {
 
 void expect_squares(const std::vector<mp::Buffer>& results) {
   for (std::size_t i = 0; i < results.size(); ++i) {
-    Reader reader(results[i]);
+    util::Reader reader(results[i]);
     EXPECT_EQ(reader.i32(), static_cast<std::int32_t>(i * i)) << "task " << i;
   }
 }

@@ -163,5 +163,35 @@ TEST(DistMapReduceTest, DrugDesignSweepMatchesSequentialEvenUnderFaults) {
   EXPECT_GE(profile.stats.requeues + profile.stats.speculative_attempts, 1);
 }
 
+/// Word count on four Sim ranks; `combine` selects the folding map side.
+mp::ClusterReport run_pinned_word_count(bool combine) {
+  using Job = DistJob<int, std::string, std::string, long>;
+  Job job;
+  mapreduce::defs::WordCountDef{}.configure(job);
+  if (!combine) {
+    job.combine(nullptr);
+  }
+  const auto inputs = mapreduce::defs::indexed(sample_documents());
+  const auto expected = mapreduce::word_count(sample_documents(), 1);
+  return mp::SimWorld::run(4, [&](mp::SimComm& comm) {
+    EXPECT_EQ(job.run(comm, inputs), expected);
+  });
+}
+
+// The shuffle's wire format, pinned: map-task result blobs, per-rank
+// shuffle blobs and the replicated output all cross the Sim wire, so a
+// change to their framing, a message more or less, or a pair shipped
+// unfolded moves these totals. The values are the ones this job produced
+// when the format was last changed on purpose.
+TEST(DistMapReduceTest, ShuffleWireTrafficIsPinned) {
+  const mp::ClusterReport folded = run_pinned_word_count(true);
+  EXPECT_EQ(folded.messages, 60u);
+  EXPECT_EQ(folded.payload_bytes, 5935u);
+
+  const mp::ClusterReport raw = run_pinned_word_count(false);
+  EXPECT_EQ(raw.messages, 60u);
+  EXPECT_EQ(raw.payload_bytes, 6092u);
+}
+
 }  // namespace
 }  // namespace pblpar::cluster

@@ -10,6 +10,7 @@
 
 #include "mp/world.hpp"
 #include "util/error.hpp"
+#include "util/wire.hpp"
 
 namespace pblpar::cluster {
 namespace {
@@ -17,7 +18,7 @@ namespace {
 std::vector<std::vector<std::byte>> index_tasks(int count) {
   std::vector<std::vector<std::byte>> tasks;
   for (int i = 0; i < count; ++i) {
-    Writer writer;
+    util::Writer writer;
     writer.i32(i);
     tasks.push_back(writer.take());
   }
@@ -28,13 +29,13 @@ std::vector<std::vector<std::byte>> index_tasks(int count) {
 /// four slices with heartbeat points between.
 TaskFn square_task(double ops_per_task) {
   return [ops_per_task](TaskContext& ctx, int, mp::ByteView payload) {
-    Reader reader(payload);
+    util::Reader reader(payload);
     const std::int32_t value = reader.i32();
     for (int s = 0; s < 4; ++s) {
       ctx.charge(ops_per_task / 4);
       ctx.progress();
     }
-    Writer writer;
+    util::Writer writer;
     writer.i32(value * value);
     return writer.take();
   };
@@ -42,7 +43,7 @@ TaskFn square_task(double ops_per_task) {
 
 void expect_squares(const std::vector<mp::Buffer>& results) {
   for (std::size_t i = 0; i < results.size(); ++i) {
-    Reader reader(results[i]);
+    util::Reader reader(results[i]);
     EXPECT_EQ(reader.i32(), static_cast<std::int32_t>(i * i)) << "task " << i;
   }
 }
@@ -279,7 +280,7 @@ TEST(ClusterEngineTest, JobDeadlineCancelsTheRemainderDeterministically) {
     if (incomplete) {
       EXPECT_TRUE(run.results[t].empty()) << "task " << t;
     } else {
-      Reader reader(run.results[t]);
+      util::Reader reader(run.results[t]);
       EXPECT_EQ(reader.i32(), static_cast<std::int32_t>(t * t))
           << "task " << t;
     }
@@ -312,7 +313,7 @@ TEST(ClusterEngineTest, SerialRunHonoursTheJobDeadlineBetweenTasks) {
   // The task already in flight when the deadline passed still completed:
   // the serial path only polls between tasks.
   EXPECT_LT(run.incomplete_tasks.size(), 4u);
-  Reader reader(run.results[0]);
+  util::Reader reader(run.results[0]);
   EXPECT_EQ(reader.i32(), 0);
   EXPECT_NE(run.profile.event_log().find("job-deadline"), std::string::npos);
 }

@@ -1,4 +1,4 @@
-#include "cluster/wire.hpp"
+#include "util/wire.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-namespace pblpar::cluster {
+namespace pblpar::util {
 namespace {
 
 TEST(WireTest, ScalarRoundTrip) {
@@ -126,4 +126,4 @@ TEST(WireTest, LengthsPastTheU32PrefixThrowInsteadOfTruncating) {
 }
 
 }  // namespace
-}  // namespace pblpar::cluster
+}  // namespace pblpar::util

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -21,6 +23,7 @@
 #include "rt/cancel.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace pblpar::oocore {
 namespace {
@@ -277,6 +280,97 @@ TEST_F(OocoreTest, RunReaderRejectsATornHeaderWithoutTrustingIt) {
   // The reader sized its buffer in steps as bytes arrived, never to the
   // 2 GiB the header claimed.
   EXPECT_LE(source.largest, std::size_t{1} << 20);
+}
+
+// --- Seeded mutation of shuffle run records --------------------------------
+
+/// A valid shuffle run file of (word, count) records, written as the
+/// spilling shuffle writes them. `headers` receives the offset of every
+/// record's length header.
+template <class V>
+std::vector<std::byte> valid_shuffle_run(ScratchDir& scratch,
+                                         std::vector<std::size_t>* headers) {
+  const fs::path path = scratch.next_path("valid");
+  SpillWriter sink(path, 4096);
+  RunWriter<std::pair<std::string, V>> writer(sink);
+  for (int i = 0; i < 40; ++i) {
+    headers->push_back(static_cast<std::size_t>(sink.bytes_written()));
+    writer.push({"word" + std::to_string(i * 7 % 13) +
+                     std::string(static_cast<std::size_t>(i % 5), 'x'),
+                 static_cast<V>(i * 31 - 200)});
+  }
+  sink.close();
+  std::vector<std::byte> bytes(static_cast<std::size_t>(fs::file_size(path)));
+  SpillReader file(path, 4096);
+  EXPECT_EQ(file.read(bytes.data(), bytes.size()), bytes.size());
+  return bytes;
+}
+
+/// Pull every record of seeded mutations of a valid run file — bit
+/// flips, truncations, and overwritten record or key length prefixes —
+/// through RunReader. Each must decode, or fail with IoError or
+/// util::WireError, and no read may ask for more than the file holds
+/// plus one 64 KiB payload step.
+template <class V>
+void pull_mutated_runs(std::uint64_t seed) {
+  using Record = std::pair<std::string, V>;
+  ScratchDir scratch("pblpar-test");
+  std::vector<std::size_t> headers;
+  const std::vector<std::byte> valid = valid_shuffle_run<V>(scratch, &headers);
+  const std::uint32_t lengths[] = {0u, 1u, 3u, 0x7FFFFFFFu, 0xFFFFFFFFu};
+  util::Rng rng(seed);
+  int rejected = 0;
+  for (int iteration = 0; iteration < 150; ++iteration) {
+    std::vector<std::byte> bytes = valid;
+    const std::uint64_t kind = rng.next_below(3);
+    if (kind == 0) {
+      for (std::uint64_t n = rng.next_below(4) + 1; n > 0; --n) {
+        bytes[rng.next_below(bytes.size())] ^=
+            static_cast<std::byte>(1u << rng.next_below(8));
+      }
+    } else if (kind == 1) {
+      bytes.resize(rng.next_below(bytes.size()));
+    } else {
+      // A record's length header, or the key length just behind it.
+      const std::size_t at = headers[rng.next_below(headers.size())] +
+                             4 * rng.next_below(2);
+      const std::uint32_t length =
+          rng.bernoulli(0.5)
+              ? lengths[rng.next_below(std::size(lengths))]
+              : static_cast<std::uint32_t>(rng.next_below(256));
+      std::memcpy(bytes.data() + at, &length, sizeof(length));
+    }
+
+    const fs::path path = scratch.next_path("mutated");
+    SpillWriter sink(path, 4096);
+    if (!bytes.empty()) {
+      sink.write(bytes.data(), bytes.size());
+    }
+    sink.close();
+    SpillReader file(path, 4096);
+    LargestReadSource source{&file};
+    RunReader<Record, LargestReadSource> reader(source);
+    Record record;
+    try {
+      while (reader.pull(&record)) {
+      }
+    } catch (const IoError&) {
+      ++rejected;
+    } catch (const util::WireError&) {
+      ++rejected;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "seed " << seed << " iteration " << iteration
+                    << ": untyped decode failure: " << error.what();
+    }
+    EXPECT_LE(source.largest, bytes.size() + (std::size_t{64} << 10))
+        << "seed " << seed << " iteration " << iteration;
+  }
+  EXPECT_GT(rejected, 0) << "no mutation was ever rejected";
+}
+
+TEST_F(OocoreTest, MutatedShuffleRunsDecodeOrFailWithATypedError) {
+  pull_mutated_runs<long>(0x5EED0001);
+  pull_mutated_runs<int>(0x5EED0002);
 }
 
 // --- LoserTree edge cases -------------------------------------------------

@@ -11,13 +11,13 @@
 #include <unistd.h>
 #endif
 
-#include "cluster/wire.hpp"
 #include "mapreduce/defs.hpp"
 #include "mapreduce/job.hpp"
 #include "mapreduce/jobs.hpp"
 #include "rt/cancel.hpp"
 #include "util/error.hpp"
 #include "util/text.hpp"
+#include "util/wire.hpp"
 
 namespace pblpar::mapreduce {
 namespace {
@@ -62,14 +62,14 @@ class SpillShuffleTest : public ::testing::Test {
 };
 
 /// Byte-level fingerprint of a job's output: every key and value pushed
-/// through the deterministic cluster wire codec, then FNV-1a over the
+/// through the deterministic wire codec, then FNV-1a over the
 /// bytes. Two outputs fingerprint equal iff they are byte-identical.
 template <class K, class V>
 std::uint64_t fingerprint(const std::vector<std::pair<K, V>>& rows) {
-  cluster::Writer writer;
+  util::Writer writer;
   for (const auto& [key, value] : rows) {
-    cluster::WireCodec<K>::write(writer, key);
-    cluster::WireCodec<V>::write(writer, value);
+    util::WireCodec<K>::write(writer, key);
+    util::WireCodec<V>::write(writer, value);
   }
   std::uint64_t hash = 1469598103934665603ull;
   for (const std::byte byte : writer.take()) {
@@ -245,6 +245,23 @@ TEST_F(SpillShuffleTest, TracedSpillRecordsSpillAndMergeEvents) {
   EXPECT_NE(json.find("\"spills\""), std::string::npos);
   EXPECT_NE(report.reduce_profile->to_json().find("\"merges\""),
             std::string::npos);
+}
+
+// An in-memory job reduces through the same merge with zero run files;
+// only a merge that read runs is a MergeEvent.
+TEST_F(SpillShuffleTest, TracedInMemoryRunRecordsNoSpillOrMergeEvent) {
+  const auto inputs = defs::indexed(make_documents(200));
+  Job<int, std::string, std::string, int, std::vector<int>> job;
+  defs::InvertedIndexDef{}.configure(job);
+  RunReport report;
+  job.threads(4).reducers(3).traced();
+  const auto rows = job.run(inputs, &report);
+  EXPECT_FALSE(rows.empty());
+  EXPECT_EQ(report.spilled_runs, 0);
+  ASSERT_NE(report.map_profile, nullptr);
+  ASSERT_NE(report.reduce_profile, nullptr);
+  EXPECT_TRUE(report.map_profile->spills.empty());
+  EXPECT_TRUE(report.reduce_profile->merges.empty());
 }
 
 TEST_F(SpillShuffleTest, AbortCancelDropsSpillFiles) {
