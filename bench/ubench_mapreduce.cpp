@@ -1,14 +1,18 @@
 // Microbenchmarks of the MapReduce framework: word count scaling with
-// threads, the combiner's effect on shuffle volume, and the distributed
-// driver on the simulated cluster engine. main() also emits
+// threads, the combiner's effect on shuffle volume, the budgeted
+// (spilling) word count, and the distributed driver on the simulated
+// cluster engine. main() also emits
 // BENCH_mapreduce.json with the deterministic virtual-time fault-
 // tolerance numbers (clean / straggler / crash) before running the
 // google-benchmark suite.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "cluster/jobs.hpp"
 #include "harness.hpp"
+#include "mapreduce/defs.hpp"
 #include "mapreduce/job.hpp"
 #include "mapreduce/jobs.hpp"
 #include "mp/sim_world.hpp"
@@ -84,6 +88,61 @@ void BM_InvertedIndex(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InvertedIndex);
+
+/// About 2 MB of documents, 200 words each, drawn with Zipf(1) weights
+/// from 20,000 random 3-10 letter words: like campusbench's
+/// wordcount_spill corpus, its distinct keys outgrow a quarter budget.
+std::vector<std::string> zipf_corpus() {
+  util::Rng rng(2026);
+  std::vector<std::string> vocabulary;
+  std::vector<double> cdf;  // running sum of 1/rank
+  double mass = 0.0;
+  for (int rank = 1; rank <= 20'000; ++rank) {
+    std::string word(static_cast<std::size_t>(rng.uniform_int(3, 10)), 'a');
+    for (char& ch : word) {
+      ch = static_cast<char>('a' + rng.next_below(26));
+    }
+    vocabulary.push_back(std::move(word));
+    mass += 1.0 / rank;
+    cdf.push_back(mass);
+  }
+  std::vector<std::string> docs;
+  std::size_t bytes = 0;
+  while (bytes < (std::size_t{2} << 20)) {
+    std::string text;
+    for (int w = 0; w < 200; ++w) {
+      const auto rank = static_cast<std::size_t>(
+          std::upper_bound(cdf.begin(), cdf.end(), rng.next_double() * mass) -
+          cdf.begin());
+      text += vocabulary[std::min(rank, vocabulary.size() - 1)];
+      text += ' ';
+    }
+    bytes += text.size();
+    docs.push_back(std::move(text));
+  }
+  return docs;
+}
+
+// The combining map side under a quarter-of-input budget at 4 threads:
+// tokenize, fold, spill sorted runs, merge them at reduce time.
+void BM_WordCountSpill(benchmark::State& state) {
+  const auto docs = zipf_corpus();
+  std::int64_t bytes = 0;
+  for (const std::string& doc : docs) {
+    bytes += static_cast<std::int64_t>(doc.size());
+  }
+  const auto inputs = mapreduce::defs::indexed(docs);
+  mapreduce::Job<int, std::string, std::string, long> job;
+  mapreduce::defs::WordCountDef{}.configure(job);
+  job.threads(4).memory_budget_bytes(bytes / 4);
+  mapreduce::RunReport report;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(job.run(inputs, &report));
+  }
+  state.SetBytesProcessed(bytes * state.iterations());
+  state.counters["spilled_runs"] = static_cast<double>(report.spilled_runs);
+}
+BENCHMARK(BM_WordCountSpill)->Unit(benchmark::kMillisecond);
 
 // Host wall time of one whole simulated distributed word count (engine
 // scheduling + shuffle + reduce on a 4-node virtual Pi cluster).

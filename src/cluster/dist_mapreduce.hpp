@@ -25,8 +25,9 @@ namespace pblpar::cluster {
 /// intermediate pairs travel). Output is byte-identical to
 /// mapreduce::Job with threads(1): map tasks fill the same
 /// mapreduce::PartitionSink, the shuffle concatenates map-task buckets in
-/// task order and stable-sorts them, so each key's value list is in input
-/// order, and mapreduce::reduce_sorted groups and reduces them.
+/// task order and stable-sorts them (mapreduce::sort_by_key), so each
+/// key's value list is in input order, and mapreduce::reduce_sorted
+/// groups and reduces them.
 template <class K1, class V1, class K2, class V2, class VOut = V2>
 class DistJob {
  public:
@@ -221,7 +222,7 @@ class DistJob {
         continue;
       }
       Bucket bucket = util::WireCodec<Bucket>::read(reader);
-      std::stable_sort(bucket.begin(), bucket.end(), mapreduce::KeyLess{});
+      mapreduce::sort_by_key(bucket, 0);
       Traits::charge_ops(comm, reduce_cost_ops_ *
                                    static_cast<double>(bucket.size()));
       mapreduce::BucketSource<std::pair<K2, V2>> source{&bucket};

@@ -114,7 +114,8 @@ class Job {
   /// reads those runs ahead of each worker's leftover bucket. Without
   /// a combiner the budget counts every emitted (key, value) pair; with
   /// one it counts the distinct keys of the fold tables, each entry's
-  /// payload plus FoldTable::kEntryOverheadBytes of node overhead. Output
+  /// payload plus FoldTable::kEntryOverheadBytes (an upper bound on what
+  /// the flat table spends per entry on hash, slots and slack). Output
   /// is byte-identical to the unbudgeted path. Not calling this (the
   /// default) keeps the shuffle fully in memory; a zero or negative
   /// budget is rejected loudly rather than silently meaning "unlimited" —

@@ -1,25 +1,15 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
 
 #include "mapreduce/fold_table.hpp"
+#include "mapreduce/key_order.hpp"
 #include "oocore/spill.hpp"
 
 namespace pblpar::mapreduce {
-
-/// Orders (key, value) pairs by key alone — the one comparator of every
-/// shuffle sort and merge, so equal keys keep their arrival order under
-/// stable_sort and under the loser tree's lower-source-first tie-break.
-struct KeyLess {
-  template <class P>
-  bool operator()(const P& a, const P& b) const {
-    return a.first < b.first;
-  }
-};
 
 /// Collects the (key, value) pairs a mapper emits. Workers reuse one
 /// Emitter across records (clear() keeps the capacity), so steady-state
@@ -42,10 +32,10 @@ class Emitter {
 
 /// The map side of the shuffle for one map worker (mapreduce::Job) or one
 /// map task (cluster::DistJob): every emitted pair goes to partition
-/// std::hash(key) % partitions. Without a combiner it is appended to that
-/// partition's bucket in emission order; with one it folds into the
-/// partition's FoldTable and reaches the bucket key-sorted, one pair per
-/// key, when drain() runs.
+/// std::hash(key) % partitions. Without a combiner the pair is appended to
+/// that partition's bucket in emission order; with one it folds into the
+/// partition's FoldTable, probed with the same hash, and reaches the
+/// bucket key-sorted, one pair per key, when drain() runs.
 template <class K, class V>
 class PartitionSink {
  public:
@@ -67,9 +57,10 @@ class PartitionSink {
   std::int64_t add(Emitter<K, V>& emitter) {
     std::int64_t grew = 0;
     for (auto& [key, value] : emitter.pairs()) {
-      const std::size_t partition = std::hash<K>{}(key) % buckets_.size();
+      const std::size_t hash = std::hash<K>{}(key);
+      const std::size_t partition = hash % buckets_.size();
       if (!tables_.empty()) {
-        grew += tables_[partition].add(std::move(key), std::move(value));
+        grew += tables_[partition].add(hash, std::move(key), std::move(value));
         continue;
       }
       if (count_bytes_) {
@@ -94,7 +85,7 @@ class PartitionSink {
   /// sorted.
   Bucket& sorted(std::size_t p) {
     if (tables_.empty()) {
-      std::stable_sort(buckets_[p].begin(), buckets_[p].end(), KeyLess{});
+      sort_by_key(buckets_[p], 0);
     }
     return buckets_[p];
   }

@@ -15,7 +15,7 @@ namespace pblpar::oocore {
 
 /// Approximate heap footprint of a value, used by the spillable shuffle's
 /// per-worker byte accounting. It counts payload bytes, not allocator
-/// slack (mapreduce::FoldTable adds its per-entry node overhead on top) —
+/// slack (mapreduce::FoldTable adds a fixed per-entry charge on top) —
 /// the budget is a target, not a hard rlimit, and the map phase checks it
 /// after every record so the overshoot is bounded by one record's
 /// emissions.

@@ -205,7 +205,8 @@ class RegionGovernor {
   RegionGovernor(const CancelToken& token, double deadline_s,
                  const ChaosPlan& chaos, int num_threads);
 
-  /// First caller wins; peers observing stop_ afterwards just drain.
+  /// First caller wins; a peer that loses waits until the winner has
+  /// published cause_ (stop_ set), then drains.
   void fire(CancelCause cause, double now);
 
   [[noreturn]] void throw_cancelled(TeamContext& tc, int tid);

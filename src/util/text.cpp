@@ -1,13 +1,28 @@
 #include "util/text.hpp"
 
+#include <array>
 #include <cctype>
 
 namespace pblpar::util {
 
 namespace {
 
-bool is_word_char(unsigned char ch) {
-  return std::isalnum(ch) != 0 || ch == '\'';
+/// Byte -> its lower-cased form if it belongs to a word ([A-Za-z0-9'],
+/// std::isalnum or '\'' in the C locale), else 0.
+constexpr std::array<char, 256> kWordByte = [] {
+  std::array<char, 256> table{};
+  for (int ch = 0; ch < 256; ++ch) {
+    if ((ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'z') || ch == '\'') {
+      table[static_cast<std::size_t>(ch)] = static_cast<char>(ch);
+    } else if (ch >= 'A' && ch <= 'Z') {
+      table[static_cast<std::size_t>(ch)] = static_cast<char>(ch - 'A' + 'a');
+    }
+  }
+  return table;
+}();
+
+char word_byte(char ch) {
+  return kWordByte[static_cast<unsigned char>(ch)];
 }
 
 }  // namespace
@@ -44,20 +59,23 @@ std::vector<std::string> split(std::string_view text,
 
 std::vector<std::string> tokenize_words(std::string_view text) {
   std::vector<std::string> words;
-  std::string current;
-  for (const char ch : text) {
-    if (is_word_char(static_cast<unsigned char>(ch))) {
-      current += static_cast<char>(
-          std::tolower(static_cast<unsigned char>(ch)));
-    } else if (!current.empty()) {
-      words.push_back(std::move(current));
-      current.clear();
+  const char* at = text.data();
+  const char* const end = at + text.size();
+  while (true) {
+    while (at != end && word_byte(*at) == 0) {
+      ++at;
+    }
+    if (at == end) {
+      return words;
+    }
+    const char* const start = at;
+    while (at != end && word_byte(*at) != 0) {
+      ++at;
+    }
+    for (char& ch : words.emplace_back(start, at)) {
+      ch = word_byte(ch);
     }
   }
-  if (!current.empty()) {
-    words.push_back(std::move(current));
-  }
-  return words;
 }
 
 std::vector<std::string> split_lines(std::string_view text) {

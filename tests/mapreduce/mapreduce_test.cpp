@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 
 #include "rt/cancel.hpp"
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/text.hpp"
 
 namespace pblpar::mapreduce {
@@ -110,15 +113,17 @@ TEST(FoldTableTest, FoldsLeftInEmissionOrderAndDrainsSorted) {
         return parts[0] + parts[1];
       };
   Table table(concat);
+  const std::hash<std::string> hash;
   const std::string b = "b";
   const std::string one = "1";
-  EXPECT_EQ(table.add(b, one),
+  EXPECT_EQ(table.add(hash(b), b, one),
             static_cast<std::int64_t>(oocore::approx_bytes(b) +
                                       oocore::approx_bytes(one)) +
                 Table::kEntryOverheadBytes);
-  EXPECT_GT(table.add("a", "x"), 0);
-  EXPECT_EQ(table.add("b", "2"), 0);  // a fold does not grow the table
-  EXPECT_EQ(table.add("b", "3"), 0);
+  EXPECT_GT(table.add(hash("a"), "a", "x"), 0);
+  // A fold does not grow the table.
+  EXPECT_EQ(table.add(hash("b"), "b", "2"), 0);
+  EXPECT_EQ(table.add(hash("b"), "b", "3"), 0);
 
   std::vector<std::pair<std::string, std::string>> out = {{"z", "kept"}};
   table.drain_sorted(out);
@@ -127,11 +132,92 @@ TEST(FoldTableTest, FoldsLeftInEmissionOrderAndDrainsSorted) {
   EXPECT_EQ(out, expected);
 
   // A drained table is empty: the next fill starts new entries.
-  EXPECT_GT(table.add("b", "4"), 0);
+  EXPECT_GT(table.add(hash("b"), "b", "4"), 0);
   std::vector<std::pair<std::string, std::string>> again;
   table.drain_sorted(again);
   EXPECT_EQ(again,
             (std::vector<std::pair<std::string, std::string>>{{"b", "4"}}));
+}
+
+TEST(FoldTableTest, GrowsDrainsAndRefillsLikeAMapFold) {
+  // 6,000 distinct keys outgrow the first slot arrays many times over;
+  // concatenation shows the fold order. The second fill reuses the
+  // drained table, and a third fill passes hashes cut to 4 bits, so every
+  // key probes a long run of foreign entries.
+  using Table = FoldTable<std::string, std::string>;
+  const Table::CombineFn concat =
+      [](const std::string&, const std::vector<std::string>& parts) {
+        return parts[0] + parts[1];
+      };
+  Table table(concat);
+  util::Rng rng(1606);
+  const auto fill = [&](std::size_t hash_mask) {
+    std::map<std::string, std::string> reference;
+    for (int i = 0; i < 30'000; ++i) {
+      const std::string key = std::to_string(rng.next_below(6'000)) + "k";
+      const std::string value(1, static_cast<char>('a' + i % 26));
+      const auto [it, inserted] = reference.try_emplace(key, value);
+      if (!inserted) {
+        it->second += value;
+      }
+      const std::size_t hash = std::hash<std::string>{}(key) & hash_mask;
+      EXPECT_EQ(table.add(hash, key, value) > 0, inserted) << key;
+    }
+    return std::vector<std::pair<std::string, std::string>>(
+        reference.begin(), reference.end());
+  };
+  for (const std::size_t mask : {~std::size_t{0}, ~std::size_t{0},
+                                 std::size_t{0xF}}) {
+    const auto expected = fill(mask);
+    ASSERT_GE(expected.size(), 5'000u);
+    std::vector<std::pair<std::string, std::string>> drained;
+    table.drain_sorted(drained);
+    EXPECT_EQ(drained, expected);
+  }
+}
+
+TEST(SortByKeyTest, StringKeysMatchStableSort) {
+  // Keys sharing 8-byte prefixes, keys shorter than 8 bytes, a key and
+  // the same key plus a NUL byte, bytes >= 0x80, and duplicates whose
+  // values record arrival order.
+  std::vector<std::string> keys = {
+      "parallel", "parallelism", "parallelisms", "parallel\x01", "a",
+      std::string("a\0", 2), std::string("a\0\0", 3), "", "ab", "b",
+      "\x80", "\xff\xff", "\x7f", "zz", "parallem", "parallek"};
+  util::Rng rng(8);
+  for (int i = 0; i < 400; ++i) {
+    std::string key(static_cast<std::size_t>(rng.next_below(14)), '\0');
+    for (char& ch : key) {
+      ch = static_cast<char>(rng.next_below(4) == 0 ? 0x80 + rng.next_below(4)
+                                                    : 'p' + rng.next_below(3));
+    }
+    keys.push_back(std::move(key));
+  }
+  std::vector<std::pair<std::string, int>> bucket;
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& key : keys) {
+      bucket.emplace_back(key, static_cast<int>(bucket.size()));
+    }
+  }
+  std::vector<std::pair<std::string, int>> expected = bucket;
+  std::stable_sort(expected.begin(), expected.end(), KeyLess{});
+  sort_by_key(bucket, 0);
+  EXPECT_EQ(bucket, expected);
+
+  // Only [first, end) moves.
+  std::vector<std::pair<std::string, int>> tail = {
+      {"z", 0}, {"c", 1}, {"b", 2}, {"c", 3}, {"a", 4}};
+  sort_by_key(tail, 1);
+  EXPECT_EQ(tail, (std::vector<std::pair<std::string, int>>{
+                      {"z", 0}, {"a", 4}, {"b", 2}, {"c", 1}, {"c", 3}}));
+}
+
+TEST(SortByKeyTest, OtherKeysStableSort) {
+  std::vector<std::pair<int, int>> bucket = {
+      {3, 0}, {1, 1}, {3, 2}, {2, 3}, {1, 4}};
+  sort_by_key(bucket, 0);
+  EXPECT_EQ(bucket, (std::vector<std::pair<int, int>>{
+                        {1, 1}, {1, 4}, {2, 3}, {3, 0}, {3, 2}}));
 }
 
 TEST(JobTest, ThreadCountInvariance) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
+#include "util/rng.hpp"
+
 namespace pblpar::util {
 namespace {
 
@@ -36,6 +40,47 @@ TEST(TextTest, TokenizeWordsLowersAndKeepsApostrophes) {
 TEST(TextTest, TokenizeWordsOnEmptyAndPunctuation) {
   EXPECT_TRUE(tokenize_words("").empty());
   EXPECT_TRUE(tokenize_words("... !!! ???").empty());
+}
+
+/// tokenize_words spelled with <cctype> in the C locale: runs of
+/// std::isalnum or '\'' bytes, each lowered with std::tolower.
+std::vector<std::string> reference_words(const std::string& text) {
+  std::vector<std::string> words;
+  std::string current;
+  for (const char ch : text) {
+    const auto byte = static_cast<unsigned char>(ch);
+    if (std::isalnum(byte) != 0 || byte == '\'') {
+      current += static_cast<char>(std::tolower(byte));
+    } else if (!current.empty()) {
+      words.push_back(std::move(current));
+      current.clear();
+    }
+  }
+  if (!current.empty()) {
+    words.push_back(std::move(current));
+  }
+  return words;
+}
+
+TEST(TextTest, TokenizeWordsMatchesCctypeOnEveryByte) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const char ch = static_cast<char>(byte);
+    for (const std::string& text :
+         {std::string(1, ch), std::string("a") + ch + "Z",
+          std::string(" ") + ch + ch + " "}) {
+      EXPECT_EQ(tokenize_words(text), reference_words(text)) << byte;
+    }
+  }
+  Rng rng(256);
+  for (int i = 0; i < 500; ++i) {
+    std::string text(static_cast<std::size_t>(rng.next_below(64)), '\0');
+    for (char& ch : text) {
+      // Half the bytes come from 'A'..'z', so words run long.
+      ch = static_cast<char>(rng.next_below(2) == 0 ? 'A' + rng.next_below(58)
+                                                    : rng.next_below(256));
+    }
+    EXPECT_EQ(tokenize_words(text), reference_words(text)) << i;
+  }
 }
 
 TEST(TextTest, SplitLinesHandlesCrLf) {
